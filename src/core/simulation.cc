@@ -550,7 +550,9 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
   // so they skip its maintenance entirely (the reference engine keeps the
   // seed's always-on behavior; the fold result is identical and unused).
   const bool window_consumed = policy_.use_carrefour || lp_ != nullptr;
-  PageAggMap pages;
+  // The window's fold, owned by window_ (empty when the window is unused).
+  static const PageAggMap kNoPages;
+  const PageAggMap* pages = &kNoPages;
   if (window_consumed || sim_.reference_pipeline) {
     if (presketch_enabled_) {
       window_.PushEpoch(std::move(fresh), &epoch_presketch_);
@@ -579,7 +581,7 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
         }
       }
     }
-    pages = window_.FoldToMapping(*address_space_);
+    pages = &window_.FoldToMapping(*address_space_);
   }
 
   std::vector<std::pair<Addr, PageSize>> shootdowns;
@@ -625,7 +627,7 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
     // on) and make the hot-page "accessed from every node" test unreachable.
     observation.lar = EstimateLar(window_.latest_samples(), *address_space_, fresh_pages,
                                   topo_.num_cpu_nodes());
-    observation.mapping_pages = &pages;
+    observation.mapping_pages = pages;
     observation.num_nodes = topo_.num_cpu_nodes();
     observation.window = &window_;
     // Cost-model inputs (DESIGN.md Section 8): the decision engine predicts
@@ -763,16 +765,13 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
             ? 0.0
             : static_cast<double>(counters_.TotalDram()) / static_cast<double>(accesses);
     if (carrefour_.ShouldRun(record.metrics.lar_pct, record.metrics.imbalance_pct, dram_rate)) {
-      const PageAggMap* plan_pages = &pages;
-      PageAggMap reaggregated;
       if (did_split) {
         // Re-fold so the plan sees the post-split granularity (the 4KB window
         // aggregate itself needed no re-bucketing: splits do not move 4KB
-        // windows across 4KB boundaries).
-        reaggregated = window_.FoldToMapping(*address_space_);
-        plan_pages = &reaggregated;
+        // windows across 4KB boundaries). This updates *pages in place.
+        pages = &window_.FoldToMapping(*address_space_);
       }
-      auto plan = carrefour_.Plan(*plan_pages, record.epoch);
+      auto plan = carrefour_.Plan(*pages, record.epoch);
       if (fault_plan_ != nullptr) {
         fault_mig_attempted_ += plan.size();
         // Partial completion: the per-node workers ran out of epoch budget

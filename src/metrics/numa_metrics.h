@@ -67,8 +67,8 @@ using PageAggMap = FlatMap<Addr, PageAgg>;
 // (Carrefour planning, Carrefour-LP split selection): two maps with equal
 // contents always produce the same visit sequence, whatever the insertion
 // or erase history that built them. Skips the sort when the map's dense
-// storage is already ascending (the window fold emits pages in address
-// order, making this a linear scan in the steady state).
+// storage is already ascending (as a full window fold leaves it; the
+// journaled updates in between append and swap-erase, so then it sorts).
 template <typename Fn>
 void ForEachPageSorted(const PageAggMap& pages, Fn&& fn) {
   const auto ascending = [](const PageAggMap::Item& a, const PageAggMap::Item& b) {

@@ -32,17 +32,18 @@ bool IsTraceEnd(const std::vector<std::uint8_t>& payload) {
 }  // namespace
 
 TraceReader::TraceReader(const std::string& path) : path_(path) {
-  file_ = std::fopen(path.c_str(), "rb");
+  // Owned from here on: a throw below closes the file with the member.
+  file_.reset(std::fopen(path.c_str(), "rb"));
   if (file_ == nullptr) {
     throw std::runtime_error("trace: cannot open: " + path);
   }
   char magic[sizeof(kTraceMagic)];
   std::uint32_t version = 0;
-  if (std::fread(magic, 1, sizeof(magic), file_) != sizeof(magic) ||
+  if (std::fread(magic, 1, sizeof(magic), file_.get()) != sizeof(magic) ||
       std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0) {
     throw std::runtime_error("trace: bad magic: " + path);
   }
-  if (std::fread(&version, sizeof(version), 1, file_) != 1 || version != kTraceVersion) {
+  if (std::fread(&version, sizeof(version), 1, file_.get()) != 1 || version != kTraceVersion) {
     throw std::runtime_error("trace: unsupported version: " + path);
   }
   std::vector<std::uint8_t> header_chunk;
@@ -53,13 +54,6 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
   ReadChunkInto(&front_);
   if (!IsTraceEnd(front_)) {
     ReadChunkInto(&back_);
-  }
-}
-
-TraceReader::~TraceReader() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
   }
 }
 
@@ -74,10 +68,7 @@ bool TraceReader::NextEpoch(TraceEpoch* out) {
   if (out->trace_end) {
     end_seen_ = true;
     completed_ = out->completed;
-    if (file_ != nullptr) {
-      std::fclose(file_);
-      file_ = nullptr;
-    }
+    file_.reset();
     return false;
   }
   // Rotate the double buffer: the prefetched back chunk becomes current, and
@@ -93,15 +84,15 @@ bool TraceReader::NextEpoch(TraceEpoch* out) {
 void TraceReader::ReadChunkInto(std::vector<std::uint8_t>* buffer) {
   std::uint32_t len = 0;
   std::uint64_t hash = 0;
-  if (std::fread(&len, sizeof(len), 1, file_) != 1 ||
-      std::fread(&hash, sizeof(hash), 1, file_) != 1) {
+  if (std::fread(&len, sizeof(len), 1, file_.get()) != 1 ||
+      std::fread(&hash, sizeof(hash), 1, file_.get()) != 1) {
     throw std::runtime_error("trace: truncated (missing chunk frame): " + path_);
   }
   if (len > kMaxChunkBytes) {
     throw std::runtime_error("trace: corrupt chunk length: " + path_);
   }
   buffer->resize(len);
-  if (len != 0 && std::fread(buffer->data(), 1, len, file_) != len) {
+  if (len != 0 && std::fread(buffer->data(), 1, len, file_.get()) != len) {
     throw std::runtime_error("trace: truncated chunk: " + path_);
   }
   if (Fnv1a(buffer->data(), buffer->size()) != hash) {

@@ -14,6 +14,7 @@
 #define NUMALP_SRC_TRACE_TRACE_READER_H_
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,6 @@ class TraceReader {
   // prefetches the first epoch chunk. Throws std::runtime_error on any
   // I/O or format error.
   explicit TraceReader(const std::string& path);
-  ~TraceReader();
 
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
@@ -49,7 +49,10 @@ class TraceReader {
 
   std::string path_;
   TraceHeader header_;
-  std::FILE* file_ = nullptr;
+  struct FileCloser {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+  std::unique_ptr<std::FILE, FileCloser> file_;
   std::vector<std::uint8_t> front_;
   std::vector<std::uint8_t> back_;
   bool end_seen_ = false;

@@ -124,7 +124,8 @@ TEST(FlatMapTest, SortedIterationIsCanonicalAcrossHistories) {
 
 class SampleWindowTest : public ::testing::Test {
  protected:
-  SampleWindowTest() : topo_(Topology::Tiny(256 * kMiB)), phys_(topo_), as_(phys_, topo_, thp_) {}
+  // 2GB per node: room for a 1GB page.
+  SampleWindowTest() : topo_(Topology::Tiny(2 * kGiB)), phys_(topo_), as_(phys_, topo_, thp_) {}
 
   IbsSample Sample(Addr va, int core, int req_node, bool dram = true) {
     IbsSample s;
@@ -156,6 +157,11 @@ class SampleWindowTest : public ::testing::Test {
   AddressSpace as_;
 };
 
+// The fold is kept up to date from a delta journal while the address
+// space's generation holds still, and rebuilt in full when it moves; both
+// paths must equal full re-aggregation after every kind of mapping change,
+// including a munmap whose samples outlive it (orphans) and a later fault
+// that maps one of them again without bumping the generation.
 TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
   thp_.alloc_enabled = true;
   const Addr big = as_.MmapAnon(8 * kMiB, {});
@@ -166,15 +172,60 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
   for (Addr offset = 0; offset < kMiB; offset += kBytes4K) {
     as_.Touch(small + offset, static_cast<int>((offset >> kShift4K) % 2));
   }
+  VmaOptions huge_opts;
+  huge_opts.explicit_page = PageSize::k1G;
+  const Addr huge = as_.MmapAnon(kBytes1G, huge_opts);
+  ASSERT_EQ(as_.Touch(huge, 1).mapping.size, PageSize::k1G);
+  const Addr churn = as_.MmapAnon(kMiB, MakeNoThpOpts());
+  for (Addr offset = 0; offset < kMiB; offset += kBytes4K) {
+    as_.Touch(churn + offset, 0);
+  }
 
   SampleWindow fast(/*max_epochs=*/4);
   SampleWindow reference(/*max_epochs=*/4, /*reference=*/true);
+  std::uint64_t folds = 0;
+  const auto expect_equal_folds = [&] {
+    ++folds;
+    ExpectEqualAggregates(fast.FoldToMapping(as_), reference.FoldToMapping(as_));
+  };
+  // Pages in the half of the churn region that gets unmapped: `stale` ones
+  // are sampled every epoch, so they are in the window as orphans; `late` is
+  // first sampled after the munmap. Random churn samples keep to the other
+  // half. The per-epoch count varies so an epoch's adds and retirements do
+  // not cancel.
+  const std::vector<Addr> stale = {churn + 5 * kBytes4K, churn + 7 * kBytes4K,
+                                   churn + 9 * kBytes4K, churn + 11 * kBytes4K};
+  const Addr late = churn + 13 * kBytes4K;
   Rng rng(99);
-  for (int epoch = 0; epoch < 12; ++epoch) {
+  for (int epoch = 0; epoch < 16; ++epoch) {
     std::vector<IbsSample> samples;
+    for (int i = 0; i <= epoch % 3; ++i) {
+      for (const Addr va : stale) {
+        samples.push_back(Sample(va + 64, epoch % 3, epoch % 2));
+      }
+      if (epoch >= 10) {
+        samples.push_back(Sample(late, epoch % 3, 1));
+      }
+    }
     for (int i = 0; i < 200; ++i) {
-      const bool in_big = rng.Uniform(3) != 0;
-      const Addr va = in_big ? big + rng.Uniform(8 * kMiB) : small + rng.Uniform(kMiB);
+      Addr va = 0;
+      switch (rng.Uniform(6)) {
+        case 0:
+        case 1:
+        case 2:
+          va = big + rng.Uniform(8 * kMiB);
+          break;
+        case 3:
+          va = small + rng.Uniform(kMiB);
+          break;
+        case 4:
+          // Sparse over the 1GB page, plus one hot 2MB stretch so its 4KB
+          // pieces repeat and retire.
+          va = huge + (rng.Uniform(2) == 0 ? rng.Uniform(kBytes1G) : rng.Uniform(kBytes2M));
+          break;
+        default:
+          va = churn + kMiB / 2 + rng.Uniform(kMiB / 2);
+      }
       samples.push_back(Sample(va, static_cast<int>(rng.Uniform(4)),
                                static_cast<int>(rng.Uniform(2)), rng.Uniform(4) != 0));
     }
@@ -185,6 +236,9 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
     // must track re-bucketing (split), merging (promote) and home changes
     // (migrate) without touching the window itself.
     if (epoch == 2) {
+      // The engine's post-split re-fold: fold, split, fold again within
+      // one epoch.
+      expect_equal_folds();
       ASSERT_TRUE(as_.SplitLargePage(big).has_value());
     }
     if (epoch == 4) {
@@ -197,10 +251,44 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
     if (epoch == 8) {
       as_.MigratePage(big + kBytes4K * 3, 0);  // no-op unless still 4K-mapped
     }
+    if (epoch == 9) {
+      // munmap of half the churn region (its VMA stays): those samples stay
+      // in the window but translate nowhere, so the full fold keeps them as
+      // orphans.
+      as_.MunmapRange(churn, kMiB / 2);
+    }
+    if (epoch == 10) {
+      // `late` is a new untranslatable key on the journal path. Then faults
+      // map two sampled pages again — no generation bump — and a fold with
+      // no push in between must pick their whole aggregates back up.
+      const std::uint64_t generation = as_.generation();
+      expect_equal_folds();
+      as_.Touch(stale[0], 1);
+      as_.Touch(stale[1], 0);
+      ASSERT_EQ(as_.generation(), generation);
+      expect_equal_folds();
+    }
+    if (epoch == 11) {
+      // Orphans re-faulted after a push: their journal entries since the
+      // last fold are already inside the aggregates they re-enter with.
+      as_.Touch(stale[2], 0);
+      as_.Touch(stale[3], 1);
+      as_.Touch(late, 1);  // an orphan first seen on the journal path
+    }
+    if (epoch == 12) {
+      ASSERT_TRUE(as_.SplitLargePage(huge).has_value());  // 1GB -> 2MB pieces
+    }
 
-    ExpectEqualAggregates(fast.FoldToMapping(as_), reference.FoldToMapping(as_));
+    expect_equal_folds();
     EXPECT_EQ(fast.epochs(), reference.epochs());
+    if (epoch % 3 == 0) {
+      expect_equal_folds();  // a fold with no push in between
+    }
   }
+  // Most folds replayed the journal; only the first one and those after a
+  // generation change (split, migrate, promote, munmap) started over.
+  EXPECT_GE(fast.full_folds(), 6u);
+  EXPECT_LT(fast.full_folds() * 2, folds);
 }
 
 // The satellite regression: retiring the oldest epoch at the window

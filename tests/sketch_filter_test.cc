@@ -7,10 +7,13 @@
 // contract), admitted aggregates stay integer-exact at higher thresholds,
 // and a deliberately undersized filter degrades gracefully (counted
 // admission misses, healed aggregates, no crash) while bounding state on a
-// sparse footprint.
+// sparse footprint; batched admission equals admitting one page at a time,
+// and the journaled fold equals a full fold, on the clamping paths too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -400,6 +403,248 @@ TEST_F(SketchWindowTest, SparseStreamStateIsBoundedByAdmissions) {
   ASSERT_NE(want, nullptr);
   EXPECT_EQ(got->total, want->total);
   EXPECT_EQ(got->req_node_counts, want->req_node_counts);
+}
+
+// One-page-at-a-time admission: the filter/sketch/threshold pipeline of
+// SampleWindow's sketch mode, except that every admission scans the raw
+// window on the spot instead of sharing one scan at the end of the push.
+// Holds only the 4KB aggregates, and counts retirements that had to clamp.
+class EagerAdmissionOracle {
+ public:
+  EagerAdmissionOracle(std::size_t max_epochs, const ProfileSketchConfig& knobs)
+      : max_epochs_(max_epochs),
+        threshold_(knobs.admit_threshold),
+        filter_(static_cast<std::size_t>(knobs.filter_capacity)),
+        sketch_(knobs.sketch_rows, knobs.sketch_width),
+        presketch_(knobs.sketch_rows, knobs.sketch_width) {}
+
+  void Push(const std::vector<IbsSample>& samples) {
+    presketch_.Reset();
+    for (const IbsSample& sample : samples) {
+      presketch_.Add(Page(sample), +1);
+    }
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      Insert(samples, i);
+    }
+    epochs_.push_back(samples);
+    if (epochs_.size() > max_epochs_) {
+      for (const IbsSample& sample : epochs_.front()) {
+        Retire(sample);
+      }
+      epochs_.pop_front();
+    }
+  }
+
+  const std::map<Addr, PageAgg>& pages() const { return pages_; }
+  std::uint64_t clamped() const { return clamped_; }
+
+ private:
+  static Addr Page(const IbsSample& sample) { return AlignDown(sample.va, kBytes4K); }
+  static std::uint64_t CoreKey(const IbsSample& sample) {
+    return Page(sample) | static_cast<std::uint64_t>(sample.core % 64);
+  }
+
+  void Add(const IbsSample& sample) {
+    PageAgg& agg = pages_[Page(sample)];
+    agg.total += 1;
+    agg.dram += sample.dram ? 1u : 0u;
+    agg.req_node_counts[sample.req_node] += 1;
+    if (cores_[CoreKey(sample)]++ == 0) {
+      agg.core_mask |= 1ull << (sample.core % 64);
+    }
+  }
+
+  void Insert(const std::vector<IbsSample>& epoch, std::size_t index) {
+    const IbsSample& sample = epoch[index];
+    const Addr page = Page(sample);
+    if (pages_.count(page) != 0) {
+      Add(sample);
+      return;
+    }
+    if (sketch_.Estimate(page) + presketch_.Estimate(page) >= threshold_) {
+      std::int32_t purged = 0;
+      while (filter_.Erase(page)) {
+        ++purged;
+      }
+      if (purged > 0) {
+        sketch_.Add(page, -purged);
+      }
+      if (purged > 0 || missed_ > 0) {
+        for (const auto& prior : epochs_) {
+          for (const IbsSample& other : prior) {
+            if (Page(other) == page) {
+              Add(other);
+            }
+          }
+        }
+        for (std::size_t i = 0; i < index; ++i) {
+          if (Page(epoch[i]) == page) {
+            Add(epoch[i]);
+          }
+        }
+      }
+      Add(sample);
+      return;
+    }
+    if (filter_.Insert(page)) {
+      sketch_.Add(page, +1);
+    } else {
+      ++missed_;
+    }
+  }
+
+  void Retire(const IbsSample& sample) {
+    const Addr page = Page(sample);
+    const auto it = pages_.find(page);
+    if (it == pages_.end()) {
+      if (filter_.Erase(page)) {
+        sketch_.Add(page, -1);
+      } else if (missed_ > 0) {
+        --missed_;
+      }
+      return;
+    }
+    PageAgg& agg = it->second;
+    bool clamped = false;
+    const auto take = [&clamped](auto& field) {
+      if (field > 0) {
+        --field;
+      } else {
+        clamped = true;
+      }
+    };
+    take(agg.total);
+    if (sample.dram) {
+      take(agg.dram);
+    }
+    take(agg.req_node_counts[sample.req_node]);
+    const auto core = cores_.find(CoreKey(sample));
+    if (core == cores_.end()) {
+      clamped = true;
+    } else if (--core->second == 0) {
+      cores_.erase(core);
+      agg.core_mask &= ~(1ull << (sample.core % 64));
+    }
+    clamped_ += clamped ? 1 : 0;
+    if (agg.total == 0) {
+      pages_.erase(it);
+    }
+  }
+
+  std::size_t max_epochs_;
+  std::uint64_t threshold_;
+  CuckooFilter filter_;
+  CountSketch sketch_;
+  CountSketch presketch_;
+  std::deque<std::vector<IbsSample>> epochs_;
+  std::map<Addr, PageAgg> pages_;
+  std::map<std::uint64_t, std::uint32_t> cores_;
+  std::uint64_t missed_ = 0;
+  std::uint64_t clamped_ = 0;
+};
+
+// The fold's delta journal and the batched admission scan under the
+// harshest sketch setting: T=4 with a filter far too small. A scripted
+// prelude drives the rare paths: page b shares page a's fingerprint, so b's
+// purge takes a's filter occurrence and a then admits without a scan and
+// retires more samples than it holds (the clamping path); a is erased with
+// counts left over while another piece keeps its 2MB mapping alive, and is
+// re-admitted over a stale core count that later runs out while a's core
+// bit was never set. The thrash that follows leaves samples untracked (the
+// missed-live path). A window folded every epoch (journal replays) must end
+// equal to an identical window folded once at the end (a full fold), and
+// every epoch it must equal admitting pages one at a time.
+TEST_F(SketchWindowTest, JournaledFoldAndBatchedAdmissionMatchEagerUnderThrash) {
+  ProfileSketchConfig knobs;
+  knobs.admit_threshold = 4;
+  knobs.filter_capacity = 16;
+  VmaOptions opts;
+  opts.explicit_page = PageSize::k2M;
+  const Addr alias_region = as_.MmapAnon(2 * kBytes1G, opts);
+  const Addr a = alias_region;
+  Addr b = 0;
+  CuckooFilter probe(static_cast<std::size_t>(knobs.filter_capacity));
+  probe.Insert(a);
+  for (Addr candidate = a + kBytes2M; candidate < a + 2 * kBytes1G; candidate += kBytes4K) {
+    if (probe.Contains(candidate)) {
+      b = candidate;
+      break;
+    }
+  }
+  ASSERT_NE(b, 0u) << "no fingerprint alias of page a in range";
+  as_.Touch(a, 0);
+  as_.Touch(b, 1);
+
+  SampleWindow every(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow once(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+  EagerAdmissionOracle eager(/*max_epochs=*/4, knobs);
+  const auto repeat = [](const IbsSample& sample, int times) {
+    return std::vector<IbsSample>(static_cast<std::size_t>(times), sample);
+  };
+  const auto concat = [](std::vector<IbsSample> head, const std::vector<IbsSample>& tail) {
+    head.insert(head.end(), tail.begin(), tail.end());
+    return head;
+  };
+  // Epoch e retires when epoch e + 4 is pushed.
+  const std::vector<std::vector<IbsSample>> prelude = {
+      {Sample(a, /*core=*/3, /*req_node=*/1, /*dram=*/true)},  // 0: parked
+      repeat(Sample(b, 0, 0), 4),                   // 1: b admits; its purge takes a's slot
+      repeat(Sample(a, 0, 0, /*dram=*/false), 4),   // 2: a admits without a scan
+      repeat(Sample(a + kBytes4K, 1, 1), 4),        // 3: a second piece of a's 2MB page
+      {},                                           // 4: epoch 0's a retires: clamps
+      {},                                           // 5
+      {},  // 6: a erased with a req count and core bit 0 left (stale core count 1)
+      {Sample(a, 0, 0, /*dram=*/false)},            // 7: parked
+      concat(concat(repeat(Sample(b, 0, 0), 4),     // 8: b's purge takes it again;
+                    repeat(Sample(a, 0, 0, false), 4)),  // a re-admits, bit 0 unset,
+             repeat(Sample(a, 1, 1, false), 2)),   // and core 1 keeps it alive
+      {},
+      {},
+      {},  // 11: epoch 7's a retires while admitted
+      {},  // 12: core 0's count reaches 0 with the bit unset; then a erased again
+  };
+  Rng rng(777);
+  const int kEpochs = 48;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    std::vector<IbsSample> samples;
+    if (static_cast<std::size_t>(epoch) < prelude.size()) {
+      samples = prelude[static_cast<std::size_t>(epoch)];
+    } else {
+      // A small hot set keeps admissions coming; the wide random tail
+      // keeps the filter thrashing.
+      samples = RandomEpoch(rng, 120);
+      for (int i = 0; i < 40; ++i) {
+        samples.push_back(Sample(region_ + rng.Uniform(24) * kBytes4K,
+                                 static_cast<int>(rng.Uniform(4)),
+                                 static_cast<int>(rng.Uniform(2)), rng.Uniform(3) != 0));
+      }
+    }
+    every.PushEpoch(samples);
+    once.PushEpoch(samples);
+    eager.Push(samples);
+
+    // The oracle's 4KB aggregates, folded to their mappings.
+    PageAggMap want;
+    for (const auto& [base, agg] : eager.pages()) {
+      const auto mapping = as_.Translate(base);
+      ASSERT_TRUE(mapping.has_value());
+      PageAgg& out = want[mapping->page_base];
+      out.total += agg.total;
+      out.dram += agg.dram;
+      out.core_mask |= agg.core_mask;
+      for (std::size_t n = 0; n < out.req_node_counts.size(); ++n) {
+        out.req_node_counts[n] += agg.req_node_counts[n];
+      }
+    }
+    SCOPED_TRACE(epoch);
+    ExpectEqualAggregates(every.FoldToMapping(as_), want);
+  }
+  ExpectEqualAggregates(every.FoldToMapping(as_), once.FoldToMapping(as_));
+  // Both degraded paths ran, and the per-epoch folds replayed the journal.
+  EXPECT_GT(eager.clamped(), 0u);
+  EXPECT_GT(every.admission_misses(), 0u);
+  EXPECT_EQ(once.full_folds(), 1u);
+  EXPECT_EQ(every.full_folds(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -232,6 +232,40 @@ TEST(TraceFormatTest, RejectsCorruptChunkPayload) {
   std::filesystem::remove(path);
 }
 
+std::size_t OpenFileDescriptors() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A reader whose constructor throws after opening the file must not keep
+// it open: reject bad-magic and truncated-header files in a loop and the
+// process's descriptor count must not grow.
+TEST(TraceFormatTest, RejectedOpensDoNotLeakFileDescriptors) {
+  const std::string bad_magic = TempPath("trace_leak_magic.bin");
+  const std::string truncated = TempPath("trace_leak_truncated.bin");
+  WriteSmallTrace(bad_magic);
+  std::vector<std::uint8_t> bytes = ReadAll(bad_magic);
+  ASSERT_GT(bytes.size(), 20u);
+  std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + 20);  // inside the header chunk
+  WriteAll(truncated, cut);
+  bytes[0] ^= 0xff;
+  WriteAll(bad_magic, bytes);
+
+  const std::size_t before = OpenFileDescriptors();
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_THROW(trace::TraceReader{bad_magic}, std::runtime_error);
+    EXPECT_THROW(trace::TraceReader{truncated}, std::runtime_error);
+    EXPECT_THROW(trace::ReadTraceHeader(truncated), std::runtime_error);
+  }
+  EXPECT_EQ(OpenFileDescriptors(), before);
+  std::filesystem::remove(bad_magic);
+  std::filesystem::remove(truncated);
+}
+
 // Serializes a run through the real row schema so "byte-identical" means the
 // committed CSV/JSONL bytes, not a float-tolerant comparison.
 std::string SerializeRow(const RunSpec& spec, const RunResult& run) {

@@ -15,7 +15,12 @@
 // (the batch geometry comes from the trace header, and --machine must match
 // the recorded machine). A replayed cell's ResultRow is byte-identical to
 // the captured cell's.
+//
+// Exit status: 0 when every row's status is "ok"; 1 when any row failed or
+// hit its deadline (the rows are still emitted); 2 on unusable input — bad
+// flags, or a trace whose header cannot be read.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -78,7 +83,14 @@ int main(int argc, char** argv) {
 
   numalp::WorkloadSpec workload;
   if (!trace_file.empty()) {
-    const numalp::trace::TraceHeader header = numalp::trace::ReadTraceHeader(trace_file);
+    numalp::trace::TraceHeader header;
+    try {
+      header = numalp::trace::ReadTraceHeader(trace_file);
+      workload = numalp::MakeTraceWorkloadSpec(trace_file);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "numalp_run: %s\n", error.what());
+      return 2;
+    }
     if (header.machine != topo.name()) {
       std::fprintf(stderr, "trace %s was recorded on %s; pass --machine %s\n",
                    trace_file.c_str(), header.machine.c_str(), header.machine.c_str());
@@ -87,7 +99,6 @@ int main(int argc, char** argv) {
     // The trace dictates the batch geometry: replay must fill epochs exactly
     // as the recorded run did for the byte-identity contract to hold.
     options.sim.accesses_per_thread_per_epoch = header.accesses_per_thread_per_epoch;
-    workload = numalp::MakeTraceWorkloadSpec(trace_file);
   } else {
     workload = numalp::MakeWorkloadSpec(bench, topo);
   }
@@ -124,6 +135,11 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(e.migrations),
                   static_cast<unsigned long long>(e.splits), e.est_current_lar,
                   e.est_carrefour_lar, e.est_split_lar, e.thp_alloc_enabled ? "on" : "off");
+    }
+  }
+  for (const numalp::RunResult& run : results) {
+    if (run.status != "ok") {
+      return 1;
     }
   }
   return 0;
