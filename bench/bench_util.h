@@ -55,9 +55,7 @@ inline void AppendPerfRecord(const std::string& path, const numalp::report::Tool
       << ",\"accesses\":" << accesses << ",\"accesses_per_sec\":"
       << (seconds > 0 ? static_cast<double>(accesses) / seconds : 0.0)
       << ",\"epochs\":" << options.sim.max_epochs
-      << ",\"accesses_per_thread\":" << options.sim.accesses_per_thread_per_epoch
-      << ",\"reference_pipeline\":" << (options.sim.reference_pipeline ? "true" : "false")
-      << "}\n";
+      << ",\"accesses_per_thread\":" << options.sim.accesses_per_thread_per_epoch << "}\n";
 }
 
 // The standard figure bench: one (machines x workloads x policies x seeds)

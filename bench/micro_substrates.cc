@@ -58,10 +58,9 @@ void BM_PageTableMapLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PageTableMapLookup);
 
-// Arg 0: the vectorized engine (SWAR probe, rank-byte LRU). Arg 1: the
-// scalar reference engine (the seed's probe loop and timestamp scan).
+// SWAR probe and rank-byte LRU; half the probed pages were never inserted.
 void BM_TlbLookup(benchmark::State& state) {
-  numalp::Tlb tlb(numalp::TlbConfig{}, /*reference=*/state.range(0) != 0);
+  numalp::Tlb tlb(numalp::TlbConfig{});
   for (int i = 0; i < 64; ++i) {
     tlb.Insert(static_cast<numalp::Addr>(i) * numalp::kBytes4K, numalp::PageSize::k4K, 1, 0);
   }
@@ -71,7 +70,7 @@ void BM_TlbLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TlbLookup)->Arg(0)->Arg(1);
+BENCHMARK(BM_TlbLookup);
 
 // The zipf batch API against per-call sampling (identical output streams).
 void BM_ZipfSampleRun(benchmark::State& state) {

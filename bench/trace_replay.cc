@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,10 @@ int main(int argc, char** argv) {
        }},
       {"--trace-epochs", true,
        [&trace_epochs](const char* value) {
-         trace_epochs = std::atoi(value);
-         return trace_epochs >= 0;
+         const auto parsed =
+             numalp::report::ParseNumber(value, 0, std::numeric_limits<int>::max());
+         trace_epochs = parsed.value_or(0);
+         return parsed.has_value();
        }},
   };
   const numalp::report::Options options =

@@ -103,9 +103,6 @@ SimConfig WithEnvOverrides(SimConfig sim) {
   if (const long long seed = PositiveEnvInt("NUMALP_SEED"); seed > 0) {
     sim.seed = static_cast<std::uint64_t>(seed);
   }
-  if (PositiveEnvInt("NUMALP_REFERENCE_PIPELINE") > 0) {
-    sim.reference_pipeline = true;
-  }
   if (const long long shards = PositiveEnvInt("NUMALP_SHARDS"); shards > 0) {
     sim.shards = static_cast<int>(shards);
   }

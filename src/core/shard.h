@@ -37,10 +37,9 @@ struct FaultCycleParts {
 // only its own contexts during the parallel window and the shared
 // structures stay read-only until the serialized apply phase.
 struct ShardContext {
-  ShardContext(const TlbConfig& tlb_config, bool reference, int num_nodes, int core_id,
-               int node_id)
-      : tlb(tlb_config, reference),
-        tlb_backup(tlb_config, reference),
+  ShardContext(const TlbConfig& tlb_config, int num_nodes, int core_id, int node_id)
+      : tlb(tlb_config),
+        tlb_backup(tlb_config),
         core(core_id),
         node(node_id) {
     spec_node_requests.assign(static_cast<std::size_t>(num_nodes), 0);

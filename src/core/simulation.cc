@@ -114,16 +114,14 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
       policy_rng_(sim_.seed ^ 0x9e37u),
       carrefour_(policy_.carrefour, topo_.cpu_nodes(), sim_.seed ^ 0xc4fu),
       khugepaged_(*address_space_),
-      window_(kSampleWindowEpochs, sim_.reference_pipeline, sim_.profile_mode,
-              sim_.profile_sketch) {
+      window_(kSampleWindowEpochs, sim_.profile_mode, sim_.profile_sketch) {
   // The epoch presketch exists only where it is consumed: sketch profile
-  // mode, fast engine, and a policy stack that actually pushes the window.
+  // mode and a policy stack that actually pushes the window.
   // All of these are fixed at construction, so every shard count and every
   // epoch take the same branch — the determinism argument needs that.
   const bool window_consumed =
       policy_.use_carrefour || policy_.use_reactive || policy_.use_conservative;
-  presketch_enabled_ = !sim_.reference_pipeline &&
-                       sim_.profile_mode == ProfileMode::kSketch && window_consumed;
+  presketch_enabled_ = sim_.profile_mode == ProfileMode::kSketch && window_consumed;
   if (presketch_enabled_) {
     epoch_presketch_ =
         CountSketch(sim_.profile_sketch.sketch_rows, sim_.profile_sketch.sketch_width);
@@ -142,10 +140,7 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
     address_space_->set_fault_plan(fault_plan_.get());
   }
   // The access source: trace replay when the spec names a trace file,
-  // otherwise the synthetic generator. The reference engine keeps the seed's
-  // per-call access generator and the scalar TLB probe/install algorithms
-  // (the fast engine's run-batched generator and vectorized TLB are
-  // value-identical; perf_hotpath --compare times the two sides of each A/B).
+  // otherwise the synthetic generator.
   if (!workload_spec_.trace_file.empty()) {
     auto replay = std::make_unique<TraceWorkload>(workload_spec_.trace_file, *address_space_,
                                                   topo_.num_cores());
@@ -153,7 +148,7 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
     workload_ = std::move(replay);
   } else {
     workload_ = std::make_unique<Workload>(workload_spec_, *address_space_, topo_.num_cores(),
-                                           sim_.seed, !sim_.reference_pipeline);
+                                           sim_.seed);
   }
   if (!workload_spec_.capture_file.empty()) {
     trace::TraceHeader header;
@@ -174,8 +169,7 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
   shard_ctx_.reserve(static_cast<std::size_t>(topo_.num_cores()));
   Rng seeder(sim_.seed ^ 0x7777u);
   for (int c = 0; c < topo_.num_cores(); ++c) {
-    shard_ctx_.emplace_back(sim_.tlb, sim_.reference_pipeline, topo_.num_nodes(), c,
-                            topo_.NodeOfCore(c));
+    shard_ctx_.emplace_back(sim_.tlb, topo_.num_nodes(), c, topo_.NodeOfCore(c));
     shard_ctx_.back().rng = seeder.Fork();
   }
   shard_count_ = ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores());
@@ -547,13 +541,12 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
   // retire oldest) and folded to the current mapping granularity on demand —
   // per-epoch cost no longer scales with window length x samples per epoch.
   // Runs with no page-placement policy never consume the window aggregate,
-  // so they skip its maintenance entirely (the reference engine keeps the
-  // seed's always-on behavior; the fold result is identical and unused).
+  // so they skip its maintenance entirely.
   const bool window_consumed = policy_.use_carrefour || lp_ != nullptr;
   // The window's fold, owned by window_ (empty when the window is unused).
   static const PageAggMap kNoPages;
   const PageAggMap* pages = &kNoPages;
-  if (window_consumed || sim_.reference_pipeline) {
+  if (window_consumed) {
     if (presketch_enabled_) {
       window_.PushEpoch(std::move(fresh), &epoch_presketch_);
       epoch_presketch_.Reset();
@@ -675,13 +668,9 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
       kernel_cycles += sim_.costs.split_fixed + sim_.costs.shootdown_per_op;
       ++record.splits;
       carrefour_.Forget(base);
-      if (sim_.reference_pipeline) {
-        shootdowns.emplace_back(base, size);
-      } else {
-        // One ranged shootdown covers the stale large-page translation and
-        // every piece the interleave loop below migrates.
-        shootdown_ranges.emplace_back(base, BytesOf(size));
-      }
+      // One ranged shootdown covers the stale large-page translation and
+      // every piece the interleave loop below migrates.
+      shootdown_ranges.emplace_back(base, BytesOf(size));
       did_split = true;
       const PageSize piece = size == PageSize::k1G ? PageSize::k2M : PageSize::k4K;
       const std::uint64_t step = BytesOf(piece);
@@ -699,9 +688,6 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
           ++interleaved_pages;
           interleaved_bytes += moved->bytes;
           ++record.migrations;
-          if (sim_.reference_pipeline) {
-            shootdowns.emplace_back(p, piece);
-          }
         }
       }
       kernel_cycles += batched_migrate_cycles(interleaved_pages, interleaved_bytes);
@@ -845,13 +831,7 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
           migrate_on_touch_.Erase(p);
         }
       }
-      if (sim_.reference_pipeline) {
-        for (Addr p = base; p < base + kBytes2M; p += kBytes4K) {
-          shootdowns.emplace_back(p, PageSize::k4K);
-        }
-      } else {
-        shootdown_ranges.emplace_back(base, kBytes2M);
-      }
+      shootdown_ranges.emplace_back(base, kBytes2M);
     }
   }
 
@@ -891,14 +871,8 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
     record.promotions += promotions.size();
     for (const PromotionRecord& promo : promotions) {
       // The 512 stale 4KB translations of the consolidated window, as one
-      // ranged shootdown (the reference engine queues them one by one).
-      if (sim_.reference_pipeline) {
-        for (Addr p = promo.window_base; p < promo.window_base + kBytes2M; p += kBytes4K) {
-          shootdowns.emplace_back(p, PageSize::k4K);
-        }
-      } else {
-        shootdown_ranges.emplace_back(promo.window_base, kBytes2M);
-      }
+      // ranged shootdown.
+      shootdown_ranges.emplace_back(promo.window_base, kBytes2M);
     }
   }
 

@@ -264,8 +264,7 @@ class Simulation {
 
   PageAggMap cumulative_pages_;
   // Incrementally maintained sliding window over the last
-  // kSampleWindowEpochs epochs of IBS samples (reference mode re-aggregates
-  // from scratch instead; results are identical).
+  // kSampleWindowEpochs epochs of IBS samples.
   SampleWindow window_;
   // Sketch profile mode's epoch presketch (DESIGN.md Section 11): the
   // current epoch's sampled 4KB page bases, counted as they are sampled so

@@ -1,8 +1,11 @@
 #include "src/hw/tlb.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace numalp {
 
-void Tlb::Array::Init(int s, int w, bool reference) {
+void Tlb::Array::Init(int s, int w) {
   sets = s;
   ways = w;
   pow2_sets = s > 0 && (static_cast<unsigned>(s) & (static_cast<unsigned>(s) - 1)) == 0;
@@ -12,10 +15,6 @@ void Tlb::Array::Init(int s, int w, bool reference) {
   payloads.assign(n, Payload{});
   live = 0;
   live_parity[0] = live_parity[1] = 0;
-  if (reference) {
-    last_used.assign(n, 0);
-    return;
-  }
   // Signature: the byte of the tag just above the set-index bits, so tags
   // that collide into one set (equal low bits) still get distinct digests
   // for nearby pages. Non-pow2 set counts fall back to the low byte.
@@ -39,42 +38,39 @@ void Tlb::Array::Flush() {
   for (auto& tag : tags) {
     tag = kInvalidTag;
   }
-  if (!occ.empty()) {
-    for (auto& mask : occ) {
-      mask = 0;
-    }
+  for (auto& mask : occ) {
+    mask = 0;
   }
   live = 0;
   live_parity[0] = live_parity[1] = 0;
 }
 
-Tlb::Tlb(const TlbConfig& config, bool reference) : reference_(reference) {
-  // The summary words hold one byte per way; wider configurations (none
-  // shipped) use the scalar reference engine, which has no width limit.
-  if (config.l1_4k_ways > 8 || config.l1_2m_ways > 8 || config.l1_1g_ways > 8 ||
-      config.l2_ways > 8) {
-    reference_ = true;
+Tlb::Tlb(const TlbConfig& config) {
+  // The summary words hold one byte per way.
+  for (const int ways :
+       {config.l1_4k_ways, config.l1_2m_ways, config.l1_1g_ways, config.l2_ways}) {
+    if (ways < 1 || ways > 8) {
+      throw std::invalid_argument("Tlb: every array needs 1 to 8 ways, got " +
+                                  std::to_string(ways));
+    }
   }
-  l1_4k_.Init(config.l1_4k_sets, config.l1_4k_ways, reference_);
-  l1_2m_.Init(config.l1_2m_sets, config.l1_2m_ways, reference_);
-  l1_1g_.Init(config.l1_1g_sets, config.l1_1g_ways, reference_);
-  l2_.Init(config.l2_sets, config.l2_ways, reference_);
+  l1_4k_.Init(config.l1_4k_sets, config.l1_4k_ways);
+  l1_2m_.Init(config.l1_2m_sets, config.l1_2m_ways);
+  l1_1g_.Init(config.l1_1g_sets, config.l1_1g_ways);
+  l2_.Init(config.l2_sets, config.l2_ways);
 }
 
 void Tlb::InvalidatePage(Addr page_base, PageSize size) {
   const auto clear = [this](Array& array, std::uint64_t tag, std::uint64_t set_index) {
-    const std::size_t at = reference_ ? array.Find(tag, set_index)
-                                      : array.FindFast(tag, set_index);
+    const std::size_t at = array.Find(tag, set_index);
     if (at == kNoEntry) {
       return;
     }
     array.tags[at] = kInvalidTag;
     --array.live;
     --array.live_parity[tag & 1];
-    if (!array.occ.empty()) {
-      const std::size_t w = at - set_index * static_cast<std::size_t>(array.ways);
-      array.occ[set_index] = static_cast<std::uint8_t>(array.occ[set_index] & ~(1u << w));
-    }
+    const std::size_t w = at - set_index * static_cast<std::size_t>(array.ways);
+    array.occ[set_index] = static_cast<std::uint8_t>(array.occ[set_index] & ~(1u << w));
   };
   switch (size) {
     case PageSize::k4K: {
@@ -104,9 +100,7 @@ void Tlb::InvalidateRange(Addr base, std::uint64_t bytes) {
     array.tags[set * static_cast<std::size_t>(array.ways) + w] = kInvalidTag;
     --array.live;
     --array.live_parity[tag & 1];
-    if (!array.occ.empty()) {
-      array.occ[set] = static_cast<std::uint8_t>(array.occ[set] & ~(1u << w));
-    }
+    array.occ[set] = static_cast<std::uint8_t>(array.occ[set] & ~(1u << w));
   };
   const auto sweep = [&](Array& array, int va_shift) {
     if (array.live == 0) {

@@ -4,16 +4,15 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace numalp {
 
-SampleWindow::SampleWindow(std::size_t max_epochs, bool reference, ProfileMode mode,
+SampleWindow::SampleWindow(std::size_t max_epochs, ProfileMode mode,
                            const ProfileSketchConfig& sketch)
-    : max_epochs_(max_epochs),
-      reference_(reference),
-      mode_(reference ? ProfileMode::kExact : mode) {
+    : max_epochs_(max_epochs), mode_(mode) {
   assert(max_epochs_ > 0);
   if (mode_ == ProfileMode::kSketch) {
     admit_threshold_ = sketch.admit_threshold;
@@ -21,6 +20,16 @@ SampleWindow::SampleWindow(std::size_t max_epochs, bool reference, ProfileMode m
     sketch_ = CountSketch(sketch.sketch_rows, sketch.sketch_width);
     scratch_presketch_ = CountSketch(sketch.sketch_rows, sketch.sketch_width);
     pending_bits_.assign(kPendingBitWords, 0);
+  }
+}
+
+SampleWindow::SampleWindow(std::size_t max_epochs, bool reference, ProfileMode mode,
+                           const ProfileSketchConfig& sketch)
+    : SampleWindow(max_epochs, mode, sketch) {
+  if (reference) {
+    throw std::invalid_argument(
+        "SampleWindow: full re-aggregation is a test-side model "
+        "(tests/oracle/reaggregating_window.h), not an engine mode");
   }
 }
 
@@ -228,8 +237,6 @@ void SampleWindow::Clear() {
   epochs_.clear();
   window_4k_.clear();
   core_counts_.clear();
-  ref_window_4k_.clear();
-  ref_4k_valid_ = false;
   sorted_keys_.clear();
   inserted_keys_.clear();
   erased_keys_.clear();
@@ -247,50 +254,42 @@ void SampleWindow::Clear() {
 }
 
 void SampleWindow::PushEpoch(std::vector<IbsSample> samples, const CountSketch* presketch) {
-  ref_4k_valid_ = false;
   retired_pages_.clear();
-  if (!reference_) {
-    if (mode_ == ProfileMode::kSketch) {
-      const CountSketch* pre = presketch;
-      if (pre == nullptr) {
-        scratch_presketch_.Reset();
-        for (const IbsSample& sample : samples) {
-          scratch_presketch_.Add(AlignDown(sample.va, kBytes4K), +1);
-        }
-        pre = &scratch_presketch_;
-      }
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        ApplySketched(samples[i], i, *pre);
-      }
-      // Before the oldest epoch retires: eager reconstruction would have
-      // counted its samples, and the retirement below subtracts them.
-      if (!pending_admissions_.empty()) {
-        ReconstructAdmitted(samples);
-      }
-    } else {
+  if (mode_ == ProfileMode::kSketch) {
+    const CountSketch* pre = presketch;
+    if (pre == nullptr) {
+      scratch_presketch_.Reset();
       for (const IbsSample& sample : samples) {
-        Apply(sample, +1);
+        scratch_presketch_.Add(AlignDown(sample.va, kBytes4K), +1);
       }
+      pre = &scratch_presketch_;
+    }
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      ApplySketched(samples[i], i, *pre);
+    }
+    // Before the oldest epoch retires: eager reconstruction would have
+    // counted its samples, and the retirement below subtracts them.
+    if (!pending_admissions_.empty()) {
+      ReconstructAdmitted(samples);
+    }
+  } else {
+    for (const IbsSample& sample : samples) {
+      Apply(sample, +1);
     }
   }
   epochs_.push_back(std::move(samples));
   if (epochs_.size() > max_epochs_) {
-    if (!reference_) {
-      for (const IbsSample& sample : epochs_.front()) {
-        if (mode_ == ProfileMode::kSketch) {
-          RetireSketched(sample);
-        } else {
-          Apply(sample, -1);
-        }
+    for (const IbsSample& sample : epochs_.front()) {
+      if (mode_ == ProfileMode::kSketch) {
+        RetireSketched(sample);
+      } else {
+        Apply(sample, -1);
       }
     }
     epochs_.pop_front();
   }
   peak_4k_entries_ = std::max(peak_4k_entries_, window_4k_.size());
   peak_core_entries_ = std::max(peak_core_entries_, core_counts_.size());
-  if (reference_) {
-    return;
-  }
   // Bound the fold's change logs between folds. A journal longer than the
   // window costs more to replay than a full fold does, so it is dropped for
   // one (short journals are kept whatever the window: both are cheap then).
@@ -393,16 +392,6 @@ void SampleWindow::UnshareCore(PageAgg& out, Addr page, int core) {
 }
 
 const PageAggMap& SampleWindow::FoldToMapping(const AddressSpace& address_space) {
-  if (reference_) {
-    // The seed engine's computation, verbatim: concatenate every epoch and
-    // aggregate from scratch (the wall-clock and bit-identity baseline).
-    std::vector<IbsSample> samples;
-    for (const auto& epoch_samples : epochs_) {
-      samples.insert(samples.end(), epoch_samples.begin(), epoch_samples.end());
-    }
-    folded_ = AggregateSamples(samples, address_space, AggGranularity::kMapping);
-    return folded_;
-  }
   if (journal_valid_ && folded_space_ == &address_space &&
       folded_generation_ == address_space.generation()) {
     ApplyJournal(address_space);
@@ -446,8 +435,8 @@ void SampleWindow::FullFold(const AddressSpace& address_space) {
     if (out == nullptr || base - run_base >= run_bytes) {
       const auto mapping = address_space.Translate(base);
       if (!mapping.has_value()) {
-        // Unmapped since sampling: reference drops it too — until a fault
-        // maps it again.
+        // Unmapped since sampling: full re-aggregation drops it too — until
+        // a fault maps it again.
         orphans_.push_back(base);
         continue;
       }
@@ -550,29 +539,6 @@ void SampleWindow::ApplyJournal(const AddressSpace& address_space) {
   orphans_ = std::move(orphans);
 }
 
-const FlatMap<Addr, PageAgg>& SampleWindow::Map4K() const {
-  if (!reference_) {
-    return window_4k_;
-  }
-  if (!ref_4k_valid_) {
-    // Rebuild from the raw epochs: the same integer sums Apply maintains
-    // incrementally (a full rebuild ORs core bits directly — no retirement
-    // bookkeeping needed — and produces the identical mask).
-    ref_window_4k_.clear();
-    for (const auto& epoch_samples : epochs_) {
-      for (const IbsSample& sample : epoch_samples) {
-        PageAgg& agg = ref_window_4k_[AlignDown(sample.va, kBytes4K)];
-        agg.total += 1;
-        agg.dram += sample.dram ? 1u : 0u;
-        agg.req_node_counts[sample.req_node] += 1;
-        agg.core_mask |= 1ull << (sample.core % 64);
-      }
-    }
-    ref_4k_valid_ = true;
-  }
-  return ref_window_4k_;
-}
-
 namespace {
 
 // Invokes fn(agg) for every sampled 4KB piece in [base, base + bytes).
@@ -604,7 +570,7 @@ std::optional<int> SampleWindow::MajorityReqNodeIn(Addr base, std::uint64_t byte
                                                    std::uint64_t min_samples) const {
   std::array<std::uint64_t, kMaxNodes> counts{};
   std::uint64_t total = 0;
-  ForEach4KIn(Map4K(), base, bytes, [&](const PageAgg& agg) {
+  ForEach4KIn(window_4k_, base, bytes, [&](const PageAgg& agg) {
     total += agg.total;
     for (int n = 0; n < kMaxNodes; ++n) {
       counts[static_cast<std::size_t>(n)] += agg.req_node_counts[static_cast<std::size_t>(n)];
@@ -625,7 +591,7 @@ std::optional<int> SampleWindow::MajorityReqNodeIn(Addr base, std::uint64_t byte
 double SampleWindow::PieceLocalityPctIn(Addr base, std::uint64_t bytes) const {
   std::uint64_t majority = 0;
   std::uint64_t total = 0;
-  ForEach4KIn(Map4K(), base, bytes, [&](const PageAgg& agg) {
+  ForEach4KIn(window_4k_, base, bytes, [&](const PageAgg& agg) {
     std::uint32_t piece_majority = 0;
     std::uint64_t piece_total = 0;
     for (int n = 0; n < kMaxNodes; ++n) {
@@ -644,7 +610,7 @@ double SampleWindow::PieceLocalityPctIn(Addr base, std::uint64_t bytes) const {
 
 bool SampleWindow::HasSamplesIn(Addr base, std::uint64_t bytes) const {
   bool any = false;
-  ForEach4KIn(Map4K(), base, bytes, [&](const PageAgg& agg) {
+  ForEach4KIn(window_4k_, base, bytes, [&](const PageAgg& agg) {
     any = any || agg.total > 0;
   });
   return any;

@@ -1,8 +1,10 @@
 #include "src/report/options.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 #include "src/report/sink.h"
@@ -11,13 +13,18 @@ namespace numalp::report {
 
 namespace {
 
+// Upper bound of --jobs and --shards.
+constexpr int kMaxThreads = 1024;
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
 void PrintUsage(std::FILE* out, const ToolInfo& info) {
   std::fprintf(out, "%s — %s\n\n", info.name, info.description);
   std::fprintf(out,
                "usage: %s [options]\n"
                "  --format md|csv|jsonl  stdout format (default: md, an aligned table)\n"
                "  --out-dir DIR          also write DIR/%s.csv and DIR/%s.jsonl\n"
-               "  --jobs N               worker threads (default: NUMALP_JOBS, then cores)\n"
+               "  --jobs N               worker threads, 1-1024 (default: NUMALP_JOBS,"
+               " then cores)\n"
                "  --seed N               base seed of the sweep's seed axis\n"
                "  --epochs N             cap epochs per run (NUMALP_MAX_EPOCHS)\n"
                "  --accesses N           accesses per thread per epoch"
@@ -93,6 +100,16 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
       }
       return argv[++i];
     };
+    // The next argument as a number in [lo, hi], or usage and exit 2.
+    auto number = [&](auto lo, auto hi) {
+      const char* text = next();
+      const auto parsed = ParseNumber(text, lo, hi);
+      if (!parsed) {
+        std::fprintf(stderr, "%s: bad value '%s' for %s\n", info.name, text, arg.c_str());
+        fail();
+      }
+      return *parsed;
+    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout, info);
       std::exit(0);
@@ -104,23 +121,26 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
     } else if (arg == "--out-dir") {
       options.out_dir = next();
     } else if (arg == "--jobs") {
-      options.jobs = std::atoi(next());
+      options.jobs = number(1, kMaxThreads);
     } else if (arg == "--seed") {
-      options.sim.seed = std::strtoull(next(), nullptr, 10);
+      options.sim.seed = number(std::uint64_t{0}, kMaxU64);
     } else if (arg == "--epochs") {
-      options.sim.max_epochs = std::atoi(next());
+      options.sim.max_epochs = number(1, std::numeric_limits<int>::max());
     } else if (arg == "--accesses") {
-      options.sim.accesses_per_thread_per_epoch = std::strtoull(next(), nullptr, 10);
+      // Trace headers record the per-epoch access count in 32 bits.
+      options.sim.accesses_per_thread_per_epoch =
+          number(std::uint64_t{1}, std::uint64_t{std::numeric_limits<std::uint32_t>::max()});
     } else if (arg == "--shards") {
-      options.sim.shards = std::atoi(next());
+      options.sim.shards = number(1, kMaxThreads);
     } else if (arg == "--profile-mode") {
       if (!ParseProfileMode(next(), &options.sim.profile_mode)) {
         fail();
       }
     } else if (arg == "--profile-threshold") {
-      options.sim.profile_sketch.admit_threshold = std::strtoull(next(), nullptr, 10);
+      options.sim.profile_sketch.admit_threshold = number(std::uint64_t{1}, kMaxU64);
     } else if (arg == "--profile-capacity") {
-      options.sim.profile_sketch.filter_capacity = std::strtoull(next(), nullptr, 10);
+      options.sim.profile_sketch.filter_capacity =
+          number(std::uint64_t{1}, std::uint64_t{1} << 32);
     } else if (arg == "--fault-profile") {
       const auto profile = ParseFaultProfile(next());
       if (!profile) {
@@ -128,19 +148,19 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
       }
       options.sim.faults.profile = *profile;
     } else if (arg == "--fault-alloc-pct") {
-      options.sim.faults.alloc_fail_pct = std::strtod(next(), nullptr);
+      options.sim.faults.alloc_fail_pct = number(0.0, 100.0);
     } else if (arg == "--fault-migrate-pct") {
-      options.sim.faults.migrate_fail_pct = std::strtod(next(), nullptr);
+      options.sim.faults.migrate_fail_pct = number(0.0, 100.0);
     } else if (arg == "--fault-large-migrate-pct") {
-      options.sim.faults.large_migrate_fail_pct = std::strtod(next(), nullptr);
+      options.sim.faults.large_migrate_fail_pct = number(0.0, 100.0);
     } else if (arg == "--fault-pressure-pct") {
-      options.sim.faults.pressure_pct = std::strtod(next(), nullptr);
+      options.sim.faults.pressure_pct = number(0.0, 100.0);
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--cell-deadline-ms") {
-      options.cell_deadline_ms = std::strtoll(next(), nullptr, 10);
+      options.cell_deadline_ms = number(0LL, std::numeric_limits<long long>::max());
     } else if (arg == "--cell-retries") {
-      options.cell_retries = std::atoi(next());
+      options.cell_retries = number(0, 1000);
     } else {
       bool handled = false;
       for (const ExtraFlag& extra : extras) {

@@ -8,9 +8,12 @@
 #ifndef NUMALP_SRC_REPORT_OPTIONS_H_
 #define NUMALP_SRC_REPORT_OPTIONS_H_
 
+#include <charconv>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/core/config.h"
@@ -57,9 +60,25 @@ struct Options {
 // Parses argv. Standard flags: --format, --out-dir, --jobs, --seed,
 // --epochs, --accesses, --shards, --profile-mode, --profile-threshold,
 // --profile-capacity, --help (prints uniform usage, exits 0).
-// Unknown flags or bad values print usage to stderr and exit 2.
+// Unknown flags or bad values print usage to stderr and exit 2; a numeric
+// value is bad unless ParseNumber accepts it within the flag's range
+// (docs/KNOBS.md lists the ranges).
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<ExtraFlag>& extras = {});
+
+// The checked parse behind every numeric flag: `text` as a T when the whole
+// token is one number (no sign on unsigned types, no whitespace, no
+// trailing characters) within [lo, hi]; nullopt otherwise.
+template <typename T>
+std::optional<T> ParseNumber(const char* text, T lo, T hi) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 // Name parsers shared by the CLI tools (historically duplicated between
 // numalp_run and quickstart, with divergent aliases).

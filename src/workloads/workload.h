@@ -19,14 +19,14 @@ namespace numalp {
 
 class Workload : public AccessSource {
  public:
-  // `batched_generation` selects the run-batched steady-state generator
-  // (default): accesses are produced in per-region runs with the RNG state,
-  // region tables and pattern dispatch hoisted out of the per-access path.
-  // `false` keeps the seed's one-call-per-access generator (the reference
-  // engine). Both draw the identical variate sequence and emit byte-identical
-  // access streams (tests/perf_structures_test.cc pins this).
+  // Steady-state accesses are produced in per-region runs with the RNG
+  // state, region tables and pattern dispatch hoisted out of the per-access
+  // path. The stream is byte-identical to the seed's one-call-per-access
+  // generator, which lives on as the test-side model
+  // tests/oracle/per_call_generator.h (tests/perf_structures_test.cc holds
+  // the two equal across the suite).
   Workload(const WorkloadSpec& spec, AddressSpace& address_space, int num_threads,
-           std::uint64_t seed, bool batched_generation = true);
+           std::uint64_t seed);
 
   // Marks an epoch boundary: latches whether any thread still has setup
   // (first-touch) work. While latched, threads that finish their queue spin
@@ -79,6 +79,9 @@ class Workload : public AccessSource {
   std::uint64_t footprint_bytes() const override;
 
  private:
+  // The test-side per-call model reads the generator state directly.
+  friend class PerCallGenerator;
+
   struct RegionRt {
     const RegionSpec* spec = nullptr;
     Addr base = 0;
@@ -102,15 +105,13 @@ class Workload : public AccessSource {
     std::vector<std::uint64_t> alloc_cursor;  // incremental growth per region
   };
 
-  WorkloadAccess SteadyAccess(int thread);
   // Batched steady-state generator: appends `count` accesses for `thread`,
-  // consuming the exact variate sequence SteadyAccess would.
+  // consuming the exact variate sequence the per-call generator would.
   void SteadyRun(int thread, std::size_t count, std::vector<WorkloadAccess>& out);
   Addr PageVa(const RegionRt& region, std::uint64_t page, Rng& rng) const;
 
   WorkloadSpec spec_;
   int num_threads_;
-  bool batched_;
   std::vector<RegionRt> regions_;
   std::vector<ThreadRt> threads_;
   std::vector<double> share_cdf_;

@@ -1,8 +1,8 @@
 // The redesigned reactive cost/decision model (DESIGN.md Section 8):
 // hysteresis state-machine goldens, the re-promotion round trip, cost-budget
 // demotion ordering under exhaustion, the realized-gain accounting on both
-// the migration-gain exit and the split experiment, and fast-vs-reference
-// engine bit-identity across the new model knobs. The paper's literal
+// the migration-gain exit and the split experiment, and a golden pin of
+// whole-engine runs across the new model knobs. The paper's literal
 // Algorithm 1 semantics (the model's ablation baseline) stay pinned in
 // carrefour_lp_test.cc.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "src/core/simulation.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
+#include "tests/golden_pin.h"
 
 namespace numalp {
 namespace {
@@ -336,36 +337,22 @@ TEST_F(LpModelTest, WidelySharedHotPageInterleavesNarrowOneLocalizes) {
   EXPECT_EQ(decision.split_shared[0].first, kBytes2M);  // localized
 }
 
-// --- Fast vs reference bit-identity across the new knobs --------------------
+// --- Golden pin across the model knobs --------------------------------------
 
-void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.measured_cycles, b.measured_cycles);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.total_migrations, b.total_migrations);
-  EXPECT_EQ(a.total_splits, b.total_splits);
-  EXPECT_EQ(a.total_promotions, b.total_promotions);
-  EXPECT_EQ(a.total_policy_overhead, b.total_policy_overhead);
-  EXPECT_EQ(a.final_thp_coverage, b.final_thp_coverage);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t e = 0; e < a.history.size(); ++e) {
-    EXPECT_EQ(a.history[e].wall, b.history[e].wall) << "epoch " << e;
-    EXPECT_EQ(a.history[e].splits, b.history[e].splits) << "epoch " << e;
-    EXPECT_EQ(a.history[e].promotions, b.history[e].promotions) << "epoch " << e;
-    EXPECT_EQ(a.history[e].migrations, b.history[e].migrations) << "epoch " << e;
-  }
-}
-
-TEST(LpModelEngineIdentityTest, FastAndReferenceAgreeAcrossModelKnobs) {
+// Each variant toggles one model component off — the ablation axes — plus
+// the full model and the literal Algorithm 1; the UA.B runs are pinned to
+// tests/golden/lp_model_variants.txt.
+TEST(LpModelGoldenTest, ModelKnobVariantsMatchGolden) {
   const Topology topo = Topology::MachineA();
-  // Each variant toggles one model component off — the ablation axes — plus
-  // the full model and the literal Algorithm 1.
   std::vector<LpModelConfig> variants(5);
   variants[1].hysteresis = false;
   variants[2].repromotion = false;
   variants[3].cost_budget = false;
   variants[4] = LpModelConfig::Algorithm1();
+  const char* const names[] = {"full", "no-hysteresis", "no-repromotion", "no-cost-budget",
+                               "algorithm1"};
 
+  std::string rendered;
   for (std::size_t v = 0; v < variants.size(); ++v) {
     SimConfig sim;
     sim.accesses_per_thread_per_epoch = 1024;
@@ -374,14 +361,10 @@ TEST(LpModelEngineIdentityTest, FastAndReferenceAgreeAcrossModelKnobs) {
     spec.steady_accesses_per_thread = 16'000;
     PolicyConfig policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
     policy.lp_model = variants[v];
-
-    Simulation fast(topo, spec, policy, sim);
-    const RunResult fast_result = fast.Run();
-    sim.reference_pipeline = true;
-    Simulation reference(topo, spec, policy, sim);
-    const RunResult reference_result = reference.Run();
-    ExpectIdenticalRuns(fast_result, reference_result);
+    Simulation simulation(topo, spec, policy, sim);
+    golden::RenderRun(std::string("UA.B/") + names[v], simulation.Run(), &rendered);
   }
+  golden::ExpectMatchesGolden("lp_model_variants", rendered);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Fault injection + runner resilience tests (DESIGN.md Section 12): the
 // fault schedule must be a pure function of (config, seed) — byte-identical
-// JSONL across jobs x shards x engine under an active profile — the
+// JSONL across jobs x shards under an active profile, and pinned to a
+// committed golden — the
 // Carrefour retry/backoff/abandon state machine must follow its documented
 // transitions, a resumed grid must reproduce an uninterrupted run's files
 // byte-for-byte, and faults=off must stay inert.
@@ -26,6 +27,7 @@
 #include "src/report/sink.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
+#include "tests/golden_pin.h"
 
 namespace numalp {
 namespace {
@@ -70,11 +72,10 @@ void BuildFaultCells(const std::vector<FaultProfile>& profiles, int seeds,
 }
 
 std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs,
-                             int shards, bool reference_pipeline) {
+                             int shards) {
   SimConfig sim = TinySim();
   sim.shards = shards;
   sim.shards_force = true;  // real worker threads even on a busy host
-  sim.reference_pipeline = reference_pipeline;
   std::vector<RunSpec> cells;
   std::vector<report::GridReport::CellMeta> meta;
   BuildFaultCells(profiles, /*seeds=*/2, sim, &cells, &meta);
@@ -88,14 +89,13 @@ std::string RenderFaultCells(const std::vector<FaultProfile>& profiles, int jobs
 }
 
 // The acceptance matrix: under active fault profiles the streamed JSONL is
-// byte-identical at every jobs x shards combination and under both engines.
-// All FaultPlan draws happen at serial points of the epoch loop, so the
-// schedule cannot depend on how the work was parallelized.
-TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsShardsAndEngines) {
+// byte-identical at every jobs x shards combination. All FaultPlan draws
+// happen at serial points of the epoch loop, so the schedule cannot depend
+// on how the work was parallelized.
+TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsAndShards) {
   const std::vector<FaultProfile> profiles = {FaultProfile::kFrag,
                                               FaultProfile::kChurn};
-  const std::string golden =
-      RenderFaultCells(profiles, /*jobs=*/1, /*shards=*/1, /*reference=*/false);
+  const std::string golden = RenderFaultCells(profiles, /*jobs=*/1, /*shards=*/1);
   EXPECT_FALSE(golden.empty());
   // The fault machinery must actually be active in the golden, or the matrix
   // proves nothing: the frag profile pre-fragments every node's buddy lists.
@@ -103,16 +103,32 @@ TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsShardsAndEngines) {
   EXPECT_EQ(golden.find("\"frag_index_pct\":0,"), std::string::npos);
   for (const int jobs : {1, 8}) {
     for (const int shards : {1, 4}) {
-      for (const bool reference : {false, true}) {
-        if (jobs == 1 && shards == 1 && !reference) {
-          continue;
-        }
-        EXPECT_EQ(RenderFaultCells(profiles, jobs, shards, reference), golden)
-            << "jobs " << jobs << " shards " << shards << " reference "
-            << reference;
+      if (jobs == 1 && shards == 1) {
+        continue;
       }
+      EXPECT_EQ(RenderFaultCells(profiles, jobs, shards), golden)
+          << "jobs " << jobs << " shards " << shards;
     }
   }
+}
+
+// The same cells, run one by one, pinned to tests/golden/fault_cells.txt:
+// the fault schedule's effect on every counter the rows report is fixed.
+TEST(FaultDeterminismTest, FaultCellsMatchGolden) {
+  SimConfig sim = TinySim();
+  std::vector<RunSpec> cells;
+  std::vector<report::GridReport::CellMeta> meta;
+  BuildFaultCells({FaultProfile::kFrag, FaultProfile::kChurn}, /*seeds=*/2, sim, &cells,
+                  &meta);
+  std::string rendered;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const RunSpec& cell = cells[i];
+    Simulation simulation(cell.topo, cell.workload, cell.policy, cell.sim);
+    golden::RenderRun(meta[i].variant + "/seed" + std::to_string(meta[i].seed_index) + "/" +
+                          std::string(NameOf(cell.policy.kind)),
+                      simulation.Run(), &rendered);
+  }
+  golden::ExpectMatchesGolden("fault_cells", rendered);
 }
 
 // faults=off is the default-constructed config and must stay inert: rate
@@ -120,7 +136,7 @@ TEST(FaultDeterminismTest, JsonlByteIdenticalAcrossJobsShardsAndEngines) {
 // zero, and the bytes match a run that never heard of fault injection.
 TEST(FaultDeterminismTest, OffProfileIsByteIdenticalAndInert) {
   const std::string plain =
-      RenderFaultCells({FaultProfile::kOff}, /*jobs=*/1, /*shards=*/1, false);
+      RenderFaultCells({FaultProfile::kOff}, /*jobs=*/1, /*shards=*/1);
 
   SimConfig sim = TinySim();
   sim.faults.alloc_fail_pct = 50.0;  // rates without a profile are inert

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/common/rng.h"
 #include "src/hw/counters.h"
 #include "src/hw/ibs.h"
@@ -8,6 +10,7 @@
 #include "src/hw/tlb.h"
 #include "src/hw/walker.h"
 #include "src/topo/topology.h"
+#include "tests/oracle/scalar_tlb.h"
 
 namespace numalp {
 namespace {
@@ -172,12 +175,13 @@ TEST(TlbTest, RangedInvalidationSpansPageSizes) {
   EXPECT_EQ(tlb.Lookup(gig + 2 * kBytes1G).level, TlbHitLevel::kL1);
 }
 
-// Mixed-size churn with ranged shootdowns: the fast (SWAR/rank-LRU) engine
-// and the scalar reference must stay lookup- and occupancy-identical. This
-// extends perf_structures_test's churn to the 1GB array and InvalidateRange.
-TEST(TlbTest, MixedSizeChurnMatchesReference) {
-  Tlb fast(TlbConfig{}, /*reference=*/false);
-  Tlb reference(TlbConfig{}, /*reference=*/true);
+// Mixed-size churn with ranged shootdowns: the SWAR/rank-LRU TLB and the
+// scalar model (tests/oracle/scalar_tlb.h) must stay lookup- and
+// occupancy-identical. This extends perf_structures_test's churn to the 1GB
+// array and InvalidateRange.
+TEST(TlbTest, MixedSizeChurnMatchesScalarModel) {
+  Tlb fast(TlbConfig{});
+  ScalarTlb reference(TlbConfig{});
   Rng rng(20260808);
   const Addr space = 8 * kBytes1G;
   for (int i = 0; i < 50'000; ++i) {
@@ -213,6 +217,23 @@ TEST(TlbTest, MixedSizeChurnMatchesReference) {
     }
     ASSERT_EQ(fast.DebugOccupancy(), reference.DebugOccupancy()) << "step " << i;
   }
+}
+
+// The summary words hold one byte per way, so a geometry wider than 8 ways
+// (or an empty array) is rejected outright rather than simulated wrongly.
+TEST(TlbTest, RejectsArraysWiderThanEightWays) {
+  TlbConfig nine;
+  nine.l2_ways = 9;
+  EXPECT_THROW(Tlb{nine}, std::invalid_argument);
+  TlbConfig wide_l1;
+  wide_l1.l1_1g_ways = 9;
+  EXPECT_THROW(Tlb{wide_l1}, std::invalid_argument);
+  TlbConfig empty;
+  empty.l1_4k_ways = 0;
+  EXPECT_THROW(Tlb{empty}, std::invalid_argument);
+  TlbConfig eight;
+  eight.l1_4k_ways = 8;
+  EXPECT_NO_THROW(Tlb{eight});
 }
 
 TEST(WalkerTest, MissProbabilityMonotonicInTableSize) {

@@ -1,12 +1,15 @@
 // Correctness of the hot-path performance structures: the flat map against
-// std::unordered_map, the incremental sample window against full
-// re-aggregation (across splits / promotions / migrations and the window
-// boundary), ranged TLB shootdowns against per-page loops, the pooled page
-// table, the translate cache, and fast-vs-reference engine bit-identity.
+// std::unordered_map; the incremental sample window, the vectorized TLB and
+// the run-batched generator against their seed-algorithm models in
+// tests/oracle/ (across splits / promotions / migrations, the window
+// boundary, TLB churn and every workload pattern); ranged TLB shootdowns
+// against per-page loops; the pooled page table; the translate cache; and
+// golden pins of whole-engine runs across the shard, jobs and profile axes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +24,11 @@
 #include "src/topo/topology.h"
 #include "src/vm/address_space.h"
 #include "src/workloads/spec.h"
+#include "src/workloads/workload.h"
+#include "tests/golden_pin.h"
+#include "tests/oracle/per_call_generator.h"
+#include "tests/oracle/reaggregating_window.h"
+#include "tests/oracle/scalar_tlb.h"
 
 namespace numalp {
 namespace {
@@ -119,7 +127,7 @@ TEST(FlatMapTest, SortedIterationIsCanonicalAcrossHistories) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental window vs full re-aggregation.
+// Incremental window vs the full re-aggregation model.
 // ---------------------------------------------------------------------------
 
 class SampleWindowTest : public ::testing::Test {
@@ -161,8 +169,9 @@ class SampleWindowTest : public ::testing::Test {
 // space's generation holds still, and rebuilt in full when it moves; both
 // paths must equal full re-aggregation after every kind of mapping change,
 // including a munmap whose samples outlive it (orphans) and a later fault
-// that maps one of them again without bumping the generation.
-TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
+// that maps one of them again without bumping the generation. The 4KB range
+// queries (split-time placement, state pruning) are held to the model too.
+TEST_F(SampleWindowTest, IncrementalMatchesReaggregationAcrossMappingChurn) {
   thp_.alloc_enabled = true;
   const Addr big = as_.MmapAnon(8 * kMiB, {});
   for (Addr offset = 0; offset < 8 * kMiB; offset += kBytes2M) {
@@ -182,11 +191,27 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
   }
 
   SampleWindow fast(/*max_epochs=*/4);
-  SampleWindow reference(/*max_epochs=*/4, /*reference=*/true);
+  ReaggregatingWindow model(/*max_epochs=*/4);
   std::uint64_t folds = 0;
   const auto expect_equal_folds = [&] {
     ++folds;
-    ExpectEqualAggregates(fast.FoldToMapping(as_), reference.FoldToMapping(as_));
+    ExpectEqualAggregates(fast.FoldToMapping(as_), model.FoldToMapping(as_));
+  };
+  // Ranges of every granularity over every region, plus unsampled space.
+  const std::vector<std::pair<Addr, std::uint64_t>> ranges = {
+      {big, kBytes2M},           {big + kBytes2M, kBytes2M}, {big, 8 * kMiB},
+      {small, kBytes4K},         {small, kMiB},              {huge, kBytes2M},
+      {huge, kBytes1G},          {churn, kMiB / 2},          {churn + kMiB / 2, kMiB / 2},
+      {churn + 5 * kBytes4K, kBytes4K},                      {huge + kBytes1G, kBytes1G}};
+  const auto expect_equal_ranges = [&] {
+    for (const auto& [base, bytes] : ranges) {
+      EXPECT_EQ(fast.MajorityReqNodeIn(base, bytes), model.MajorityReqNodeIn(base, bytes))
+          << std::hex << base << "+" << bytes;
+      EXPECT_EQ(fast.MajorityReqNodeIn(base, bytes, 8), model.MajorityReqNodeIn(base, bytes, 8))
+          << std::hex << base << "+" << bytes;
+      EXPECT_EQ(fast.HasSamplesIn(base, bytes), model.HasSamplesIn(base, bytes))
+          << std::hex << base << "+" << bytes;
+    }
   };
   // Pages in the half of the churn region that gets unmapped: `stale` ones
   // are sampled every epoch, so they are in the window as orphans; `late` is
@@ -230,7 +255,8 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
                                static_cast<int>(rng.Uniform(2)), rng.Uniform(4) != 0));
     }
     fast.PushEpoch(samples);
-    reference.PushEpoch(samples);
+    model.PushEpoch(samples);
+    expect_equal_ranges();
 
     // Mutate mappings the way the policies do: the incremental aggregate
     // must track re-bucketing (split), merging (promote) and home changes
@@ -280,7 +306,7 @@ TEST_F(SampleWindowTest, IncrementalMatchesReferenceAcrossMappingChurn) {
     }
 
     expect_equal_folds();
-    EXPECT_EQ(fast.epochs(), reference.epochs());
+    EXPECT_EQ(fast.epochs(), model.epochs());
     if (epoch % 3 == 0) {
       expect_equal_folds();  // a fold with no push in between
     }
@@ -324,21 +350,29 @@ TEST_F(SampleWindowTest, WindowBoundaryRetiresOldestEpoch) {
   EXPECT_EQ(window.distinct_pages(), 1u);
 }
 
+// Full re-aggregation is a test-side model, not an engine mode: the one
+// constructor that still takes the old flag accepts only false.
+TEST_F(SampleWindowTest, ReferenceFlagIsRejected) {
+  EXPECT_THROW(SampleWindow(4, true, ProfileMode::kExact, {}), std::invalid_argument);
+  SampleWindow window(4, false, ProfileMode::kSketch, {});
+  EXPECT_EQ(window.profile_mode(), ProfileMode::kSketch);
+}
+
 // ---------------------------------------------------------------------------
-// Vectorized TLB vs the scalar reference engine: lookups, O(1) victim
-// selection and live-entry bookkeeping must be bit-identical under churn.
+// Vectorized TLB vs the scalar model: lookups, O(1) victim selection and
+// live-entry bookkeeping must be bit-identical under churn.
 // ---------------------------------------------------------------------------
 
-// Drives both engines through an identical operation stream — lookups with
+// Drives both TLBs through an identical operation stream — lookups with
 // refill (the engine's miss->insert pattern), precise and ranged
 // invalidations, flushes — and pins every observable: hit levels, payloads,
 // and the live counters that drive probe-skip decisions. Eviction choices
 // are covered transitively: a divergent victim would surface as a divergent
 // hit/miss within a few operations on these small arrays.
-TEST(TlbEngineIdentityTest, FastMatchesReferenceUnderChurn) {
+TEST(TlbEngineIdentityTest, FastMatchesScalarModelUnderChurn) {
   const TlbConfig config;
-  Tlb fast(config, /*reference=*/false);
-  Tlb reference(config, /*reference=*/true);
+  Tlb fast(config);
+  ScalarTlb model(config);
   Rng rng(1234);
   // A working set far larger than the arrays, mixing page sizes, so sets
   // stay full and the LRU victim path runs constantly.
@@ -361,7 +395,7 @@ TEST(TlbEngineIdentityTest, FastMatchesReferenceUnderChurn) {
       PageSize size = PageSize::k4K;
       const Addr va = random_va(size);
       const TlbLookup a = fast.Lookup(va);
-      const TlbLookup b = reference.Lookup(va);
+      const TlbLookup b = model.Lookup(va);
       ASSERT_EQ(a.level, b.level) << "op " << op << " va " << std::hex << va;
       if (a.level != TlbHitLevel::kMiss) {
         ASSERT_EQ(a.pfn, b.pfn) << "op " << op;
@@ -373,73 +407,77 @@ TEST(TlbEngineIdentityTest, FastMatchesReferenceUnderChurn) {
         const Pfn pfn = page >> kShift4K;
         const int node = static_cast<int>(rng.Uniform(4));
         fast.Insert(page, size, pfn, node);
-        reference.Insert(page, size, pfn, node);
+        model.Insert(page, size, pfn, node);
       }
     } else if (action < 95) {
       PageSize size = PageSize::k4K;
       const Addr va = random_va(size);
       const Addr page = AlignDown(va, BytesOf(size));
       fast.InvalidatePage(page, size);
-      reference.InvalidatePage(page, size);
+      model.InvalidatePage(page, size);
     } else if (action < 99) {
       const Addr base = 0x40000000ull + rng.Uniform(8) * kBytes2M;
       fast.InvalidateRange(base, kBytes2M);
-      reference.InvalidateRange(base, kBytes2M);
+      model.InvalidateRange(base, kBytes2M);
     } else {
       fast.FlushAll();
-      reference.FlushAll();
+      model.FlushAll();
     }
-    ASSERT_EQ(fast.DebugOccupancy(), reference.DebugOccupancy()) << "op " << op;
+    ASSERT_EQ(fast.DebugOccupancy(), model.DebugOccupancy()) << "op " << op;
   }
-  EXPECT_EQ(fast.lookups(), reference.lookups());
+  EXPECT_EQ(fast.lookups(), model.lookups());
 }
 
 // The live-entry audit regression: invalidations (precise and ranged) must
-// retire exactly the entries they hit from the probe-skip counters, in both
-// engines — a stale count would make Lookup skip (or probe) an array the
-// other engine does not, which the churn test above would surface as a
-// divergent hit. This pins the counters directly on a hand-built sequence.
+// retire exactly the entries they hit from the probe-skip counters, in the
+// TLB and its model alike — a stale count would make Lookup skip (or probe)
+// an array the model does not, which the churn test above would surface as
+// a divergent hit. This pins the counters directly on a hand-built sequence.
+template <typename AnyTlb>
+void CheckLiveCountersRetire() {
+  const TlbConfig config;
+  AnyTlb tlb(config);
+  tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
+  tlb.Insert(0x40001000, PageSize::k4K, 2, 1);
+  tlb.Insert(0x80000000, PageSize::k2M, 3, 0);
+  TlbOccupancy occ = tlb.DebugOccupancy();
+  EXPECT_EQ(occ.live_4k, 2u);
+  EXPECT_EQ(occ.live_2m, 1u);
+  EXPECT_EQ(occ.l2_parity_4k, 2u);
+  EXPECT_EQ(occ.l2_parity_2m, 1u);
+  tlb.InvalidatePage(0x40000000, PageSize::k4K);
+  occ = tlb.DebugOccupancy();
+  EXPECT_EQ(occ.live_4k, 1u);
+  EXPECT_EQ(occ.l2_parity_4k, 1u);
+  // Ranged shootdown across the remaining 4K entry and the 2M page.
+  tlb.InvalidateRange(0x40000000, kBytes2M);
+  tlb.InvalidateRange(0x80000000, kBytes2M);
+  occ = tlb.DebugOccupancy();
+  EXPECT_EQ(occ.live_4k, 0u);
+  EXPECT_EQ(occ.live_2m, 0u);
+  EXPECT_EQ(occ.l2_parity_4k, 0u);
+  EXPECT_EQ(occ.l2_parity_2m, 0u);
+  // Re-insert after total invalidation: counters must come back exact.
+  tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
+  EXPECT_EQ(tlb.DebugOccupancy().live_4k, 1u);
+  tlb.FlushAll();
+  EXPECT_EQ(tlb.DebugOccupancy(), TlbOccupancy{});
+}
+
 TEST(TlbEngineIdentityTest, LiveCountersRetireAcrossInvalidatePaths) {
-  for (const bool reference : {false, true}) {
-    const TlbConfig config;
-    Tlb tlb(config, reference);
-    tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
-    tlb.Insert(0x40001000, PageSize::k4K, 2, 1);
-    tlb.Insert(0x80000000, PageSize::k2M, 3, 0);
-    TlbOccupancy occ = tlb.DebugOccupancy();
-    EXPECT_EQ(occ.live_4k, 2u) << "reference=" << reference;
-    EXPECT_EQ(occ.live_2m, 1u);
-    EXPECT_EQ(occ.l2_parity_4k, 2u);
-    EXPECT_EQ(occ.l2_parity_2m, 1u);
-    tlb.InvalidatePage(0x40000000, PageSize::k4K);
-    occ = tlb.DebugOccupancy();
-    EXPECT_EQ(occ.live_4k, 1u);
-    EXPECT_EQ(occ.l2_parity_4k, 1u);
-    // Ranged shootdown across the remaining 4K entry and the 2M page.
-    tlb.InvalidateRange(0x40000000, kBytes2M);
-    tlb.InvalidateRange(0x80000000, kBytes2M);
-    occ = tlb.DebugOccupancy();
-    EXPECT_EQ(occ.live_4k, 0u);
-    EXPECT_EQ(occ.live_2m, 0u);
-    EXPECT_EQ(occ.l2_parity_4k, 0u);
-    EXPECT_EQ(occ.l2_parity_2m, 0u);
-    // Re-insert after total invalidation: counters must come back exact.
-    tlb.Insert(0x40000000, PageSize::k4K, 1, 0);
-    EXPECT_EQ(tlb.DebugOccupancy().live_4k, 1u);
-    tlb.FlushAll();
-    EXPECT_EQ(tlb.DebugOccupancy(), TlbOccupancy{});
-  }
+  CheckLiveCountersRetire<Tlb>();
+  CheckLiveCountersRetire<ScalarTlb>();
 }
 
 // ---------------------------------------------------------------------------
-// Batched access generation vs the per-call reference generator.
+// Batched access generation vs the per-call model.
 // ---------------------------------------------------------------------------
 
 // Every workload pattern (uniform, zipf with and without block shuffle, hot
 // chunks, partitioned, sequential, incremental) plus the setup and barrier
 // phases must emit byte-identical access streams from the run-batched
 // generator and the seed's one-call-per-access generator.
-TEST(BatchedGenerationTest, MatchesReferenceAcrossSuite) {
+TEST(BatchedGenerationTest, MatchesPerCallModelAcrossSuite) {
   const Topology topo = Topology::MachineA();
   for (const BenchmarkId id : {BenchmarkId::kCG_D, BenchmarkId::kUA_B, BenchmarkId::kSSCA,
                                BenchmarkId::kWrmem, BenchmarkId::kSPECjbb,
@@ -448,29 +486,30 @@ TEST(BatchedGenerationTest, MatchesReferenceAcrossSuite) {
     PhysicalMemory phys_fast(topo);
     ThpState thp_fast;
     AddressSpace as_fast(phys_fast, topo, thp_fast);
-    Workload fast(spec, as_fast, topo.num_cores(), 99, /*batched_generation=*/true);
+    Workload fast(spec, as_fast, topo.num_cores(), 99);
     PhysicalMemory phys_ref(topo);
     ThpState thp_ref;
     AddressSpace as_ref(phys_ref, topo, thp_ref);
-    Workload reference(spec, as_ref, topo.num_cores(), 99, /*batched_generation=*/false);
+    Workload model_state(spec, as_ref, topo.num_cores(), 99);
+    PerCallGenerator model(model_state);
 
     std::vector<WorkloadAccess> batch_fast;
-    std::vector<WorkloadAccess> batch_ref;
+    std::vector<WorkloadAccess> batch_model;
     for (int epoch = 0; epoch < 12; ++epoch) {
       fast.BeginEpoch();
-      reference.BeginEpoch();
+      model.BeginEpoch();
       for (int t = 0; t < topo.num_cores(); ++t) {
         fast.FillBatch(t, 512, batch_fast);
-        reference.FillBatch(t, 512, batch_ref);
-        ASSERT_EQ(batch_fast.size(), batch_ref.size());
+        model.FillBatch(t, 512, batch_model);
+        ASSERT_EQ(batch_fast.size(), batch_model.size());
         for (std::size_t i = 0; i < batch_fast.size(); ++i) {
-          ASSERT_EQ(batch_fast[i].va, batch_ref[i].va)
+          ASSERT_EQ(batch_fast[i].va, batch_model[i].va)
               << NameOf(id) << " epoch " << epoch << " thread " << t << " access " << i;
-          ASSERT_EQ(batch_fast[i].region, batch_ref[i].region);
-          ASSERT_EQ(batch_fast[i].write, batch_ref[i].write);
+          ASSERT_EQ(batch_fast[i].region, batch_model[i].region);
+          ASSERT_EQ(batch_fast[i].write, batch_model[i].write);
         }
       }
-      ASSERT_EQ(fast.SetupDone(), reference.SetupDone());
+      ASSERT_EQ(fast.SetupDone(), model.SetupDone());
     }
   }
 }
@@ -561,7 +600,7 @@ TEST(TranslateCacheTest, CacheHitsAreInvalidatedByMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine bit-identity: fast vs reference pipeline.
+// Whole-engine golden pins and the shard / jobs / profile identity axes.
 // ---------------------------------------------------------------------------
 
 void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
@@ -594,12 +633,15 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.PspPct(), b.PspPct());
 }
 
-TEST(EngineIdentityTest, FastAndReferencePipelinesAreBitIdentical) {
+// Golden pin of the whole engine on the paper machine: CG.D drives the
+// hot-page path (splits + interleave + promotions); UA.B drives the
+// false-sharing path (shared demotions, split-time placement from the
+// window's 4KB aggregates, hinting-fault migration, and the batched
+// migration accounting). tests/golden/paper_cells.txt was recorded where the
+// seed-algorithm engine still ran beside the fast one and both agreed.
+TEST(GoldenPinTest, PaperCellsMatchGolden) {
   const Topology topo = Topology::MachineA();
-  // CG.D drives the hot-page path (splits + interleave + promotions); UA.B
-  // drives the false-sharing path (shared demotions, split-time placement
-  // from the window's 4KB aggregates, hinting-fault migration, and the
-  // batched migration accounting).
+  std::string rendered;
   for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
     for (const PolicyKind kind :
          {PolicyKind::kThp, PolicyKind::kCarrefour2M, PolicyKind::kCarrefourLp,
@@ -609,15 +651,12 @@ TEST(EngineIdentityTest, FastAndReferencePipelinesAreBitIdentical) {
       sim.max_epochs = 25;
       WorkloadSpec spec = MakeWorkloadSpec(bench, topo);
       spec.steady_accesses_per_thread = 16'000;
-
-      Simulation fast(topo, spec, MakePolicyConfig(kind), sim);
-      const RunResult fast_result = fast.Run();
-      sim.reference_pipeline = true;
-      Simulation reference(topo, spec, MakePolicyConfig(kind), sim);
-      const RunResult reference_result = reference.Run();
-      ExpectIdenticalRuns(fast_result, reference_result);
+      Simulation simulation(topo, spec, MakePolicyConfig(kind), sim);
+      golden::RenderRun(std::string(NameOf(bench)) + "/" + std::string(NameOf(kind)),
+                        simulation.Run(), &rendered);
     }
   }
+  golden::ExpectMatchesGolden("paper_cells", rendered);
 }
 
 // Sketch profile mode at the default admission threshold must reproduce
@@ -691,9 +730,8 @@ TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
 // identity invariants as the paper machines (DESIGN.md Section 13.2's
 // argument: on all-CPU machines the cpu-node refactor is the identity, and
 // on far-memory machines every policy draw still happens at the same serial
-// sites). Each cell is pinned across all three axes at once: engine
-// (fast vs reference), shards (1 vs forced 4), and profile mode
-// (exact vs sketch).
+// sites). Each cell is pinned to tests/golden/datacenter_cells.txt and held
+// across shards (1 vs forced 4) and profile mode (exact vs sketch).
 TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   struct Cell {
     Topology topo;
@@ -708,6 +746,7 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
       // holds several 1GB frames, every region explicitly 1GB-backed.
       {Topology::MachineB(/*memory_scale=*/8), BenchmarkId::kSSCA, true},
   };
+  std::string rendered;
   for (const Cell& cell : cells) {
     SimConfig sim;
     sim.accesses_per_thread_per_epoch = 1024;
@@ -721,13 +760,11 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
     }
     const PolicyConfig policy = MakePolicyConfig(PolicyKind::kCarrefourLp);
 
-    Simulation golden(cell.topo, spec, policy, sim);
-    const RunResult golden_result = golden.Run();
-
-    SimConfig ref_sim = sim;
-    ref_sim.reference_pipeline = true;
-    Simulation reference(cell.topo, spec, policy, ref_sim);
-    ExpectIdenticalRuns(golden_result, reference.Run());
+    Simulation golden_run(cell.topo, spec, policy, sim);
+    const RunResult golden_result = golden_run.Run();
+    golden::RenderRun(cell.topo.name() + "/" + std::string(NameOf(cell.bench)) +
+                          (cell.one_gig ? "/1G" : ""),
+                      golden_result, &rendered);
 
     SimConfig shard_sim = sim;
     shard_sim.shards = 4;
@@ -741,16 +778,14 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
     Simulation sketch(cell.topo, spec, policy, sketch_sim);
     ExpectIdenticalRuns(golden_result, sketch.Run());
   }
+  golden::ExpectMatchesGolden("datacenter_cells", rendered);
 }
 
-// The full matrix the oracle CI job enforces, in miniature: a small grid at
-// jobs={1,8} x shards={1,4} x profile={exact,sketch} under both engines must
+// A small grid at jobs={1,8} x shards={1,4} x profile={exact,sketch} must
 // produce one identical result set — parallelism (between cells or inside
-// one) never changes results, and neither does the engine or the profiling
-// metadata representation. (Reference x sketch degenerates to reference x
-// exact by construction — SampleWindow forces exact under the reference
-// pipeline — and the axis keeps that pin honest.)
-TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
+// one) never changes results, and neither does the profiling metadata
+// representation — and that set is pinned to tests/golden/jobs_grid.txt.
+TEST(EngineIdentityTest, JobsShardsAndProfileAxesAreBitIdentical) {
   ExperimentGrid grid;
   grid.machines = {Topology::MachineA()};
   grid.workloads = {BenchmarkId::kCG_D, BenchmarkId::kUA_B};
@@ -760,22 +795,29 @@ TEST(EngineIdentityTest, JobsAndEngineAxesAreBitIdentical) {
   grid.sim.max_epochs = 8;
 
   std::vector<GridResults> all;
-  for (const bool reference : {false, true}) {
-    for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
-      for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-          ExperimentGrid g = grid;
-          g.sim.reference_pipeline = reference;
-          g.sim.profile_mode = mode;
-          g.sim.shards = shards;
-          g.sim.shards_force = true;
-          const ExperimentRunner runner(jobs);
-          all.push_back(RunGrid(g, runner));
-        }
+  for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
+    for (const int jobs : {1, 8}) {
+      for (const int shards : {1, 4}) {
+        ExperimentGrid g = grid;
+        g.sim.profile_mode = mode;
+        g.sim.shards = shards;
+        g.sim.shards_force = true;
+        const ExperimentRunner runner(jobs);
+        all.push_back(RunGrid(g, runner));
       }
     }
   }
   const GridResults& golden = all.front();
+  std::string rendered;
+  for (int w = 0; w < golden.num_workloads(); ++w) {
+    for (int s = 0; s < golden.num_seeds(); ++s) {
+      const std::string cell = std::string(NameOf(grid.workloads[static_cast<std::size_t>(w)])) +
+                               "/seed" + std::to_string(s);
+      golden::RenderRun(cell + "/baseline", golden.Baseline(0, w, s), &rendered);
+      golden::RenderRun(cell + "/Carrefour-LP", golden.At(0, w, 0, s), &rendered);
+    }
+  }
+  golden::ExpectMatchesGolden("jobs_grid", rendered);
   for (std::size_t v = 1; v < all.size(); ++v) {
     for (int w = 0; w < golden.num_workloads(); ++w) {
       for (int s = 0; s < golden.num_seeds(); ++s) {

@@ -5,6 +5,7 @@
 // arithmetic, and the qualitative paper checks pass/fail/skip correctly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "src/report/aggregate.h"
 #include "src/report/checks.h"
 #include "src/report/collector.h"
+#include "src/report/options.h"
 #include "src/report/result_row.h"
 #include "src/report/sink.h"
 #include "src/topo/topology.h"
@@ -468,6 +470,25 @@ TEST(LoadJsonlTest, SkipsMalformedLinesWithIssues) {
   EXPECT_EQ(rows[1].epochs, 4);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].line, 2);
+}
+
+// The numeric-flag parse: one whole token, in range, or nothing.
+TEST(ParseNumberTest, AcceptsOnlyWholeTokensInRange) {
+  EXPECT_EQ(ParseNumber("40", 1, 100), 40);
+  EXPECT_EQ(ParseNumber("1", 1, 100), 1);
+  EXPECT_EQ(ParseNumber("100", 1, 100), 100);
+  for (const char* bad : {"", "abc", "1x", " 5", "5 ", "+5", "0", "101", "-3", "4.5",
+                          "99999999999999999999"}) {
+    EXPECT_EQ(ParseNumber(bad, 1, 100), std::nullopt) << "'" << bad << "'";
+  }
+  const std::uint64_t max = ~std::uint64_t{0};
+  EXPECT_EQ(ParseNumber("18446744073709551615", std::uint64_t{0}, max), max);
+  EXPECT_EQ(ParseNumber("-1", std::uint64_t{0}, max), std::nullopt);
+  EXPECT_EQ(ParseNumber("12.5", 0.0, 100.0), 12.5);
+  EXPECT_EQ(ParseNumber("0", 0.0, 100.0), 0.0);
+  for (const char* bad : {"250", "-0.5", "nan", "inf", "1e3", "5%"}) {
+    EXPECT_EQ(ParseNumber(bad, 0.0, 100.0), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

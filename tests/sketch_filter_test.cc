@@ -267,7 +267,7 @@ TEST_F(SketchWindowTest, ThresholdOneIsBitIdenticalToExactUnderChurn) {
   tiny.sketch_width = 16;
   for (const ProfileSketchConfig& knobs : {ProfileSketchConfig{}, tiny}) {
     SampleWindow exact(/*max_epochs=*/4);
-    SampleWindow sketch(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+    SampleWindow sketch(/*max_epochs=*/4, ProfileMode::kSketch, knobs);
     Rng rng(4242);
     for (int epoch = 0; epoch < 24; ++epoch) {
       std::vector<IbsSample> samples = RandomEpoch(rng, 200);
@@ -299,7 +299,7 @@ TEST_F(SketchWindowTest, AdmittedAggregatesAreExactAtHigherThresholds) {
   ProfileSketchConfig knobs;
   knobs.admit_threshold = 3;
   SampleWindow exact(/*max_epochs=*/6);
-  SampleWindow sketch(/*max_epochs=*/6, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow sketch(/*max_epochs=*/6, ProfileMode::kSketch, knobs);
   Rng rng(9001);
   const std::size_t samples_per_epoch = 150;
   for (int epoch = 0; epoch < 40; ++epoch) {
@@ -337,7 +337,7 @@ TEST_F(SketchWindowTest, UndersizedFilterDegradesGracefullyWithCountedMisses) {
   // saturated sketch would admit everything and never touch the filter).
   knobs.filter_capacity = 16;
   SampleWindow exact(/*max_epochs=*/4);
-  SampleWindow sketch(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow sketch(/*max_epochs=*/4, ProfileMode::kSketch, knobs);
   Rng rng(1212);
   const Addr hot = region_;  // one page sampled every epoch from every core
   for (int epoch = 0; epoch < 30; ++epoch) {
@@ -373,7 +373,7 @@ TEST_F(SketchWindowTest, SparseStreamStateIsBoundedByAdmissions) {
   knobs.admit_threshold = 2;
   knobs.filter_capacity = 4096;
   SampleWindow exact(/*max_epochs=*/8);
-  SampleWindow sketch(/*max_epochs=*/8, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow sketch(/*max_epochs=*/8, ProfileMode::kSketch, knobs);
   Rng rng(5150);
   Addr fresh = region_;
   const Addr hot = region_ + 8 * kMiB - kBytes4K;
@@ -575,8 +575,8 @@ TEST_F(SketchWindowTest, JournaledFoldAndBatchedAdmissionMatchEagerUnderThrash) 
   as_.Touch(a, 0);
   as_.Touch(b, 1);
 
-  SampleWindow every(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
-  SampleWindow once(/*max_epochs=*/4, /*reference=*/false, ProfileMode::kSketch, knobs);
+  SampleWindow every(/*max_epochs=*/4, ProfileMode::kSketch, knobs);
+  SampleWindow once(/*max_epochs=*/4, ProfileMode::kSketch, knobs);
   EagerAdmissionOracle eager(/*max_epochs=*/4, knobs);
   const auto repeat = [](const IbsSample& sample, int times) {
     return std::vector<IbsSample>(static_cast<std::size_t>(times), sample);

@@ -23,6 +23,7 @@
 #include "src/trace/tracegen.h"
 #include "src/workloads/spec.h"
 #include "src/workloads/trace_workload.h"
+#include "tests/golden_pin.h"
 
 namespace numalp {
 namespace {
@@ -280,10 +281,11 @@ std::string SerializeRow(const RunSpec& spec, const RunResult& run) {
   return out;
 }
 
-// Capture once, then replay at every shards x engine combination: every
-// replayed row must reproduce the capturing run's row byte-for-byte
-// (DESIGN.md Section 14's determinism contract).
-TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
+// Capture once, then replay serially and at forced shards 4: every replayed
+// row must reproduce the capturing run's row byte-for-byte (DESIGN.md
+// Section 14's determinism contract), and the capturing run itself is
+// pinned to tests/golden/trace_capture_wc.txt.
+TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShards) {
   const std::string path = TempPath("trace_capture_cg.bin");
   const Topology topo = Topology::Tiny();
 
@@ -302,26 +304,21 @@ TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShardsAndEngines) {
   const RunResult capture_run = capture_sim.Run();
   const std::string golden = SerializeRow(capture, capture_run);
   EXPECT_NE(capture_run.trace_source.find("@tiny#42"), std::string::npos);
+  std::string rendered;
+  golden::RenderRun("WC/THP/capture", capture_run, &rendered);
+  golden::ExpectMatchesGolden("trace_capture_wc", rendered);
 
-  struct Variant {
-    int shards;
-    bool reference;
-  };
-  const std::vector<Variant> variants = {
-      {1, false}, {4, false}, {1, true}, {4, true}};
-  for (const Variant& v : variants) {
+  for (const int shards : {1, 4}) {
     RunSpec replay;
     replay.topo = topo;
     replay.workload = MakeTraceWorkloadSpec(path);
     replay.policy = MakePolicyConfig(PolicyKind::kThp);
     replay.sim = sim;
-    replay.sim.shards = v.shards;
-    replay.sim.shards_force = v.shards > 1;
-    replay.sim.reference_pipeline = v.reference;
+    replay.sim.shards = shards;
+    replay.sim.shards_force = shards > 1;
     Simulation replay_sim(topo, replay.workload, replay.policy, replay.sim);
     const RunResult replay_run = replay_sim.Run();
-    EXPECT_EQ(golden, SerializeRow(replay, replay_run))
-        << "shards=" << v.shards << " reference=" << v.reference;
+    EXPECT_EQ(golden, SerializeRow(replay, replay_run)) << "shards=" << shards;
   }
   std::filesystem::remove(path);
 }

@@ -19,8 +19,10 @@
 // Exit status: 0 when every row's status is "ok"; 1 when any row failed or
 // hit its deadline (the rows are still emitted); 2 on unusable input — bad
 // flags, or a trace whose header cannot be read.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,8 +64,10 @@ int main(int argc, char** argv) {
       numalp::report::PolicyFlag(&policy),
       {"--ibs-interval", true,
        [&ibs_interval](const char* value) {
-         ibs_interval = std::strtoull(value, nullptr, 10);
-         return ibs_interval > 0;
+         const auto parsed = numalp::report::ParseNumber(
+             value, std::uint64_t{1}, std::numeric_limits<std::uint64_t>::max());
+         ibs_interval = parsed.value_or(0);
+         return parsed.has_value();
        }},
       {"--per-epoch", false,
        [&per_epoch](const char*) {

@@ -10,10 +10,12 @@
 // shuffle / checkpoint phase mixes of BERT, ResNet-50, LAMMPS and NAMD;
 // "ckpt-churn" adds the checkpoint-storm mmap churn whose retained log pages
 // fragment the buddy allocator on replay (DESIGN.md Section 14).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "src/report/options.h"
@@ -53,6 +55,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next argument as a number in [lo, hi], or usage and exit 2.
+    auto number = [&](auto lo, auto hi) {
+      const char* text = next();
+      const auto parsed = numalp::report::ParseNumber(text, lo, hi);
+      if (!parsed) {
+        std::fprintf(stderr, "numalp_tracegen: bad value '%s' for %s\n", text, arg.c_str());
+        PrintUsage(stderr);
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       return 0;
@@ -73,11 +86,12 @@ int main(int argc, char** argv) {
       }
       options.topo = *topo;
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = number(std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--epochs") {
-      options.epochs = std::atoi(next());
+      options.epochs = number(0, std::numeric_limits<int>::max());
     } else if (arg == "--accesses") {
-      options.accesses_per_thread = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      options.accesses_per_thread =
+          number(std::uint32_t{1}, std::numeric_limits<std::uint32_t>::max());
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       PrintUsage(stderr);
