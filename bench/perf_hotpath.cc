@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/parse.h"
 #include "src/core/runner.h"
 #include "src/report/options.h"
 #include "src/topo/topology.h"
@@ -74,39 +75,6 @@ Measurement TimeCell(numalp::PolicyKind kind, const numalp::Topology& topo,
   m.seconds = SecondsSince(start);
   m.accesses = result.totals.accesses;
   return m;
-}
-
-// One point of the intra-cell shard-scaling sweep: the flagship CG.D /
-// Carrefour-LP cell at a forced shard count (forced because the sweep's
-// whole point is to spawn real workers regardless of host load; results are
-// bit-identical at every point, only the wall clock moves).
-struct ShardPoint {
-  int shards = 1;
-  double seconds = 0.0;
-  std::uint64_t accesses = 0;
-  double speedup_vs_serial = 0.0;
-};
-
-std::vector<ShardPoint> RunShardSweep(const numalp::Topology& topo, numalp::SimConfig sim) {
-  std::vector<ShardPoint> points;
-  for (const int shards : {1, 2, 4, 8}) {
-    numalp::SimConfig sharded = sim;
-    sharded.shards = shards;
-    sharded.shards_force = true;
-    const auto start = Clock::now();
-    const numalp::RunResult result = numalp::RunBenchmark(
-        topo, numalp::BenchmarkId::kCG_D, numalp::PolicyKind::kCarrefourLp, sharded);
-    ShardPoint point;
-    point.shards = shards;
-    point.seconds = SecondsSince(start);
-    point.accesses = result.totals.accesses;
-    point.speedup_vs_serial =
-        points.empty() || point.seconds <= 0 ? 1.0 : points.front().seconds / point.seconds;
-    points.push_back(point);
-    std::fprintf(stderr, "perf_hotpath: shards=%d %8.3fs  (%.2fx vs serial)\n", shards,
-                 point.seconds, point.speedup_vs_serial);
-  }
-  return points;
 }
 
 // One run of the profile-metadata sweep: the same cell under exact and
@@ -190,7 +158,6 @@ std::vector<ProfilePoint> RunProfileSweep(const numalp::Topology& topo,
 void WriteJson(std::ostream& out, const numalp::SimConfig& sim, int jobs,
                const std::vector<Measurement>& cells,
                const std::vector<Measurement>& grids,
-               const std::vector<ShardPoint>& shard_scaling,
                const std::vector<ProfilePoint>& profile_sweep) {
   const auto emit = [&out](const Measurement& m, const char* kind) {
     out << "    {\"" << kind << "\":\"" << m.name << "\",\"seconds\":" << m.seconds
@@ -216,17 +183,6 @@ void WriteJson(std::ostream& out, const numalp::SimConfig& sim, int jobs,
     out << (i + 1 < grids.size() ? ",\n" : "\n");
   }
   out << "  ]";
-  if (!shard_scaling.empty()) {
-    out << ",\n  \"shard_scaling\": [\n";
-    for (std::size_t i = 0; i < shard_scaling.size(); ++i) {
-      const ShardPoint& p = shard_scaling[i];
-      out << "    {\"shards\":" << p.shards << ",\"seconds\":" << p.seconds
-          << ",\"accesses\":" << p.accesses
-          << ",\"speedup_vs_serial\":" << p.speedup_vs_serial << "}"
-          << (i + 1 < shard_scaling.size() ? ",\n" : "\n");
-    }
-    out << "  ]";
-  }
   if (!profile_sweep.empty()) {
     out << ",\n  \"profile_sweep\": [\n";
     for (std::size_t i = 0; i < profile_sweep.size(); ++i) {
@@ -263,7 +219,7 @@ double BaselineGridSeconds(const std::string& contents, const std::string& name)
 
 // A gate factor: a whole-token number > 0.
 bool ParsePositive(const char* text, double* out) {
-  const auto parsed = numalp::report::ParseNumber(text, std::numeric_limits<double>::min(),
+  const auto parsed = numalp::ParseNumber(text, std::numeric_limits<double>::min(),
                                                   std::numeric_limits<double>::max());
   *out = parsed.value_or(0.0);
   return parsed.has_value();
@@ -275,8 +231,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string against_path;
   double tolerance = 2.0;
-  bool shard_sweep = false;
-  double min_shard_scaling = 0.0;
   bool profile_sweep_on = false;
   double min_profile_reduction = 0.0;
   const numalp::report::ToolInfo info = {
@@ -285,10 +239,6 @@ int main(int argc, char** argv) {
       "  --out FILE             write the measurements as BENCH_perf.json-style JSON\n"
       "  --against FILE         fail when a grid exceeds tolerance x FILE's seconds\n"
       "  --tolerance X          gate factor for --against (default 2.0)\n"
-      "  --shard-sweep          time the CG.D/Carrefour-LP cell at 1/2/4/8 forced\n"
-      "                         shards (results are identical; only wall clock moves)\n"
-      "  --min-shard-scaling X  fail when shards=4 speeds up less than Xx over\n"
-      "                         shards=1 (skipped on hosts with < 4 cores)\n"
       "  --profile-sweep        record exact-vs-sketch profiling state high-water\n"
       "                         marks (sparse-footprint + CG.D cells)\n"
       "  --min-profile-reduction X\n"
@@ -300,12 +250,6 @@ int main(int argc, char** argv) {
       {{"--out", true, [&](const char* v) { out_path = v; return true; }},
        {"--against", true, [&](const char* v) { against_path = v; return true; }},
        {"--tolerance", true, [&](const char* v) { return ParsePositive(v, &tolerance); }},
-       {"--shard-sweep", false, [&](const char*) { shard_sweep = true; return true; }},
-       {"--min-shard-scaling", true,
-        [&](const char* v) {
-          shard_sweep = true;
-          return ParsePositive(v, &min_shard_scaling);
-        }},
        {"--profile-sweep", false, [&](const char*) { profile_sweep_on = true; return true; }},
        {"--min-profile-reduction", true, [&](const char* v) {
           profile_sweep_on = true;
@@ -346,11 +290,6 @@ int main(int argc, char** argv) {
                  m.seconds, m.AccessesPerSec());
   }
 
-  std::vector<ShardPoint> shard_scaling;
-  if (shard_sweep) {
-    shard_scaling = RunShardSweep(machine_b, options.sim);
-  }
-
   std::vector<ProfilePoint> profile_sweep;
   if (profile_sweep_on) {
     profile_sweep = RunProfileSweep(machine_b, options.sim);
@@ -362,10 +301,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "perf_hotpath: cannot open %s\n", out_path.c_str());
       return 2;
     }
-    WriteJson(out, options.sim, options.jobs, cells, grids, shard_scaling, profile_sweep);
+    WriteJson(out, options.sim, options.jobs, cells, grids, profile_sweep);
   } else {
-    WriteJson(std::cout, options.sim, options.jobs, cells, grids, shard_scaling,
-              profile_sweep);
+    WriteJson(std::cout, options.sim, options.jobs, cells, grids, profile_sweep);
   }
 
   if (min_profile_reduction > 0) {
@@ -409,35 +347,6 @@ int main(int argc, char** argv) {
     }
     if (failed) {
       return 1;
-    }
-  }
-
-  if (min_shard_scaling > 0) {
-    // Scaling needs real cores: on a narrow host the forced workers time-slice
-    // one CPU and the measurement says nothing about the engine, so the gate
-    // records and skips rather than failing (the committed JSON still carries
-    // host_concurrency for the reader).
-    const unsigned host = std::thread::hardware_concurrency();
-    if (host < 4) {
-      std::fprintf(stderr,
-                   "perf_hotpath: shard-scaling gate skipped (host_concurrency=%u < 4)\n",
-                   host);
-    } else {
-      double speedup4 = 0.0;
-      for (const ShardPoint& p : shard_scaling) {
-        if (p.shards == 4) {
-          speedup4 = p.speedup_vs_serial;
-        }
-      }
-      if (speedup4 < min_shard_scaling) {
-        std::fprintf(stderr,
-                     "perf_hotpath: SHARD SCALING REGRESSION: shards=4 is %.2fx vs serial, "
-                     "gate requires >= %.2fx\n",
-                     speedup4, min_shard_scaling);
-        return 1;
-      }
-      std::fprintf(stderr, "perf_hotpath: shard scaling ok: shards=4 is %.2fx (gate %.2fx)\n",
-                   speedup4, min_shard_scaling);
     }
   }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/core/config.h"
 #include "src/core/runner.h"
 #include "src/report/collector.h"
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
       {"--trace-epochs", true,
        [&trace_epochs](const char* value) {
          const auto parsed =
-             numalp::report::ParseNumber(value, 0, std::numeric_limits<int>::max());
+             numalp::ParseNumber(value, 0, std::numeric_limits<int>::max());
          trace_epochs = parsed.value_or(0);
          return parsed.has_value();
        }},

@@ -1,6 +1,12 @@
 #include "src/core/config.h"
 
 #include <cstdlib>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
+#include "src/common/parse.h"
 
 namespace numalp {
 
@@ -93,53 +99,74 @@ long long PositiveEnvInt(const char* name) {
   return parsed > 0 ? parsed : 0;
 }
 
+namespace {
+
+[[noreturn]] void ThrowBadEnv(const char* name, const char* value) {
+  throw std::invalid_argument(std::string("bad value '") + value + "' for " + name);
+}
+
+// Environment variable `name` as a number in [lo, hi] (the range of the
+// matching flag), or nullopt when it is unset.
+template <typename T>
+std::optional<T> EnvNumber(const char* name, T lo, T hi) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) {
+    return std::nullopt;
+  }
+  const std::optional<T> parsed = ParseNumber(value, lo, hi);
+  if (!parsed) {
+    ThrowBadEnv(name, value);
+  }
+  return parsed;
+}
+
+}  // namespace
+
 SimConfig WithEnvOverrides(SimConfig sim) {
-  if (const long long epochs = PositiveEnvInt("NUMALP_MAX_EPOCHS"); epochs > 0) {
-    sim.max_epochs = static_cast<int>(epochs);
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  if (const auto epochs = EnvNumber("NUMALP_MAX_EPOCHS", 1, std::numeric_limits<int>::max())) {
+    sim.max_epochs = *epochs;
   }
-  if (const long long accesses = PositiveEnvInt("NUMALP_ACCESSES_PER_EPOCH"); accesses > 0) {
-    sim.accesses_per_thread_per_epoch = static_cast<std::uint64_t>(accesses);
+  if (const auto accesses = EnvNumber("NUMALP_ACCESSES_PER_EPOCH", std::uint64_t{1}, kMaxU32)) {
+    sim.accesses_per_thread_per_epoch = *accesses;
   }
-  if (const long long seed = PositiveEnvInt("NUMALP_SEED"); seed > 0) {
-    sim.seed = static_cast<std::uint64_t>(seed);
+  if (const auto seed = EnvNumber("NUMALP_SEED", std::uint64_t{0}, kMaxU64)) {
+    sim.seed = *seed;
   }
-  if (const long long shards = PositiveEnvInt("NUMALP_SHARDS"); shards > 0) {
-    sim.shards = static_cast<int>(shards);
+  if (const char* mode = std::getenv("NUMALP_PROFILE_MODE");
+      mode != nullptr && !ParseProfileMode(mode, &sim.profile_mode)) {
+    ThrowBadEnv("NUMALP_PROFILE_MODE", mode);
   }
-  if (PositiveEnvInt("NUMALP_SHARDS_FORCE") > 0) {
-    sim.shards_force = true;
+  if (const auto threshold = EnvNumber("NUMALP_PROFILE_THRESHOLD", std::uint64_t{1}, kMaxU64)) {
+    sim.profile_sketch.admit_threshold = *threshold;
   }
-  if (const char* mode = std::getenv("NUMALP_PROFILE_MODE"); mode != nullptr) {
-    ParseProfileMode(mode, &sim.profile_mode);
+  if (const auto capacity =
+          EnvNumber("NUMALP_PROFILE_FILTER_CAPACITY", std::uint64_t{1}, std::uint64_t{1} << 32)) {
+    sim.profile_sketch.filter_capacity = *capacity;
   }
-  if (const long long threshold = PositiveEnvInt("NUMALP_PROFILE_THRESHOLD"); threshold > 0) {
-    sim.profile_sketch.admit_threshold = static_cast<std::uint64_t>(threshold);
+  if (const auto width = EnvNumber("NUMALP_PROFILE_SKETCH_WIDTH", std::uint32_t{1},
+                                   std::numeric_limits<std::uint32_t>::max())) {
+    sim.profile_sketch.sketch_width = *width;
   }
-  if (const long long capacity = PositiveEnvInt("NUMALP_PROFILE_FILTER_CAPACITY");
-      capacity > 0) {
-    sim.profile_sketch.filter_capacity = static_cast<std::uint64_t>(capacity);
-  }
-  if (const long long width = PositiveEnvInt("NUMALP_PROFILE_SKETCH_WIDTH"); width > 0) {
-    sim.profile_sketch.sketch_width = static_cast<std::uint32_t>(width);
-  }
-  if (const char* profile = std::getenv("NUMALP_FAULT_PROFILE"); profile != nullptr) {
-    if (const auto parsed = ParseFaultProfile(profile)) {
-      sim.faults.profile = *parsed;
+  if (const char* profile = std::getenv("NUMALP_FAULT_PROFILE")) {
+    const auto parsed = ParseFaultProfile(profile);
+    if (!parsed) {
+      ThrowBadEnv("NUMALP_FAULT_PROFILE", profile);
     }
+    sim.faults.profile = *parsed;
   }
-  // Rate overrides are percentages and may legitimately be 0, so presence is
-  // checked directly instead of through PositiveEnvInt.
-  if (const char* pct = std::getenv("NUMALP_FAULT_ALLOC_PCT"); pct != nullptr) {
-    sim.faults.alloc_fail_pct = std::strtod(pct, nullptr);
+  if (const auto pct = EnvNumber("NUMALP_FAULT_ALLOC_PCT", 0.0, 100.0)) {
+    sim.faults.alloc_fail_pct = *pct;
   }
-  if (const char* pct = std::getenv("NUMALP_FAULT_MIGRATE_PCT"); pct != nullptr) {
-    sim.faults.migrate_fail_pct = std::strtod(pct, nullptr);
+  if (const auto pct = EnvNumber("NUMALP_FAULT_MIGRATE_PCT", 0.0, 100.0)) {
+    sim.faults.migrate_fail_pct = *pct;
   }
-  if (const char* pct = std::getenv("NUMALP_FAULT_LARGE_MIGRATE_PCT"); pct != nullptr) {
-    sim.faults.large_migrate_fail_pct = std::strtod(pct, nullptr);
+  if (const auto pct = EnvNumber("NUMALP_FAULT_LARGE_MIGRATE_PCT", 0.0, 100.0)) {
+    sim.faults.large_migrate_fail_pct = *pct;
   }
-  if (const char* pct = std::getenv("NUMALP_FAULT_PRESSURE_PCT"); pct != nullptr) {
-    sim.faults.pressure_pct = std::strtod(pct, nullptr);
+  if (const auto pct = EnvNumber("NUMALP_FAULT_PRESSURE_PCT", 0.0, 100.0)) {
+    sim.faults.pressure_pct = *pct;
   }
   return sim;
 }

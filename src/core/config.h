@@ -107,21 +107,6 @@ struct SimConfig {
   // split/promote oscillation the paper discusses in Section 4.3.
   int promote_scan_windows = 256;
   int promote_max_per_epoch = 1;
-  // Intra-cell worker threads for the sharded epoch engine (DESIGN.md
-  // Section 10): the epoch's access rounds execute as speculative parallel
-  // windows over per-core shard contexts, committed only when provably
-  // equal to the serial interleaving. Results are bit-identical at any
-  // value; only host wall-clock changes. <= 1 runs the serial engine. The
-  // effective count is clamped to the host budget (hardware concurrency
-  // divided by active ExperimentRunner jobs) so grid parallelism and shard
-  // parallelism cannot multiply into oversubscription
-  // (env: NUMALP_SHARDS).
-  int shards = 1;
-  // Bypass the oversubscription clamp and spawn exactly `shards` workers —
-  // for scaling measurements and the determinism tests, which must exercise
-  // real cross-thread windows even on small or busy hosts
-  // (env: NUMALP_SHARDS_FORCE=1).
-  bool shards_force = false;
   // Profiling metadata mode + sketch capacity knobs (see ProfileMode above;
   // env: NUMALP_PROFILE_MODE={exact,sketch}, NUMALP_PROFILE_THRESHOLD,
   // NUMALP_PROFILE_FILTER_CAPACITY, NUMALP_PROFILE_SKETCH_WIDTH).
@@ -275,12 +260,14 @@ long long PositiveEnvInt(const char* name);
 // Applies environment overrides to `sim` and returns it: NUMALP_MAX_EPOCHS
 // and NUMALP_ACCESSES_PER_EPOCH bound run length (the ctest smoke tests use
 // them to keep the examples and CLI driver fast), NUMALP_SEED replaces the
-// base seed, NUMALP_SHARDS sets the intra-cell shard count (and
-// NUMALP_SHARDS_FORCE=1 bypasses the oversubscription clamp). Unset or
-// non-positive variables leave the field untouched. NUMALP_PROFILE_MODE
-// ("exact"/"sketch") selects the profiling metadata mode, with
-// NUMALP_PROFILE_THRESHOLD, NUMALP_PROFILE_FILTER_CAPACITY, and
-// NUMALP_PROFILE_SKETCH_WIDTH overriding the sketch knobs.
+// base seed, NUMALP_PROFILE_MODE ("exact"/"sketch") selects the profiling
+// metadata mode, with NUMALP_PROFILE_THRESHOLD,
+// NUMALP_PROFILE_FILTER_CAPACITY and NUMALP_PROFILE_SKETCH_WIDTH overriding
+// the sketch knobs, and NUMALP_FAULT_PROFILE plus the NUMALP_FAULT_*_PCT
+// rates configure fault injection. Unset variables leave the field
+// untouched. A set variable must be a value the matching flag accepts (the
+// ranges in docs/KNOBS.md); anything else throws std::invalid_argument
+// naming the variable.
 SimConfig WithEnvOverrides(SimConfig sim);
 
 }  // namespace numalp

@@ -6,10 +6,9 @@
 // single 4KB frames inside most 2MB-aligned chunks so huge-page allocations
 // genuinely fail from buddy state, not from a coin flip), failed and partial
 // page migrations, and transient node-pressure episodes that temporarily
-// hoard a node's free memory. All draws happen at serial points of the epoch
-// loop (never inside speculative shard slices), so a fault schedule is
-// bit-identical at every --shards/--jobs setting and under both engines
-// (DESIGN.md Section 12). With profile off (the default) no FaultPlan is
+// hoard a node's free memory. Every draw comes from the cell's own seeded
+// RNG in the cell's serial epoch loop, so a fault schedule is bit-identical
+// at every --jobs setting (DESIGN.md Section 12). With profile off (the default) no FaultPlan is
 // constructed and behavior is byte-identical to a fault-free build.
 #ifndef NUMALP_SRC_CORE_FAULTS_H_
 #define NUMALP_SRC_CORE_FAULTS_H_

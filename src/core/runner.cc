@@ -8,8 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/core/shard.h"
-
 namespace numalp {
 
 std::uint64_t CellSeed(std::uint64_t base_seed, int seed_index) {
@@ -119,12 +117,6 @@ std::vector<RunResult> ExperimentRunner::Run(const std::vector<RunSpec>& cells) 
     }
   };
 
-  // Register this runner's worker count with the oversubscription guard for
-  // the duration of the grid: simulations created inside run_cell clamp
-  // their intra-cell shard count to the host budget divided by the active
-  // jobs (src/core/shard.h), so grid-level and intra-cell parallelism never
-  // multiply into more threads than the host has.
-  const ScopedActiveRunnerJobs jobs_guard(std::max(1, workers));
   if (workers <= 1 || cells.size() - skip <= 1) {
     for (std::size_t i = skip; i < cells.size(); ++i) {
       run_cell(i, slots[0]);

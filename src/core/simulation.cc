@@ -117,8 +117,6 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
       window_(kSampleWindowEpochs, sim_.profile_mode, sim_.profile_sketch) {
   // The epoch presketch exists only where it is consumed: sketch profile
   // mode and a policy stack that actually pushes the window.
-  // All of these are fixed at construction, so every shard count and every
-  // epoch take the same branch — the determinism argument needs that.
   const bool window_consumed =
       policy_.use_carrefour || policy_.use_reactive || policy_.use_conservative;
   presketch_enabled_ = sim_.profile_mode == ProfileMode::kSketch && window_consumed;
@@ -166,15 +164,11 @@ Simulation::Simulation(const Topology& topo, const WorkloadSpec& workload,
       trace_provenance_ = header.Provenance();
     }
   }
-  shard_ctx_.reserve(static_cast<std::size_t>(topo_.num_cores()));
+  core_ctx_.reserve(static_cast<std::size_t>(topo_.num_cores()));
   Rng seeder(sim_.seed ^ 0x7777u);
   for (int c = 0; c < topo_.num_cores(); ++c) {
-    shard_ctx_.emplace_back(sim_.tlb, topo_.num_nodes(), c, topo_.NodeOfCore(c));
-    shard_ctx_.back().rng = seeder.Fork();
-  }
-  shard_count_ = ResolveShardCount(sim_.shards, sim_.shards_force, topo_.num_cores());
-  if (shard_count_ > 1) {
-    shard_pool_ = std::make_unique<ShardPool>(shard_count_);
+    core_ctx_.emplace_back(sim_.tlb, c, topo_.NodeOfCore(c));
+    core_ctx_.back().rng = seeder.Fork();
   }
   region_mlp_.reserve(static_cast<std::size_t>(workload_->num_regions()));
   region_intensity_.reserve(static_cast<std::size_t>(workload_->num_regions()));
@@ -203,9 +197,8 @@ int Simulation::CoreOfThread(int thread) const {
   return node.first_core + thread / n;
 }
 
-template <bool kSpeculative>
-bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
-                              std::size_t count, std::size_t base_index) {
+void Simulation::ProcessSlice(CoreContext& ctx, const WorkloadAccess* accesses,
+                              std::size_t count) {
   // Per-core state hoisted once per slice instead of re-resolved per access;
   // the counters the common (TLB-hit) path touches, the RNG state and the
   // IBS countdown additionally live in locals for the slice, so the loop's
@@ -217,14 +210,8 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
   Rng rng = ctx.rng;
   Tlb& tlb = ctx.tlb;
   AddressSpace::TranslationCache& translate_cache = ctx.translate_cache;
-  // Speculative slices redirect the *shared* per-node counters into the
-  // context's delta scratch; the commit folds them in canonical core order
-  // (they are integer sums — fold order is the serial order).
-  std::uint64_t* node_requests = kSpeculative ? ctx.spec_node_requests.data()
-                                              : counters_.node_requests.data();
-  std::uint64_t* node_incoming_remote = kSpeculative
-                                            ? ctx.spec_node_incoming_remote.data()
-                                            : counters_.node_incoming_remote.data();
+  std::uint64_t* node_requests = counters_.node_requests.data();
+  std::uint64_t* node_incoming_remote = counters_.node_incoming_remote.data();
   std::uint64_t* core_requests =
       counters_.core_node_requests[static_cast<std::size_t>(core)].data();
   const double* region_intensity = region_intensity_.data();
@@ -252,15 +239,6 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
       ++cc.tlb_l1_miss;
       auto mapping = address_space_->Translate(access.va, translate_cache);
       if (!mapping.has_value()) {
-        // Demand fault: the first shared-state mutation a slice can make —
-        // the new mapping, the first-touch placement race and the
-        // page-table growth (which feeds every core's walk-miss draws) must
-        // be globally visible in program order. A speculative slice stops
-        // *before* mutating anything; the window is rolled back and
-        // replayed serially.
-        if constexpr (kSpeculative) {
-          return false;
-        }
         const TouchResult touch = address_space_->Touch(access.va, node);
         const FaultInfo& fault = *touch.fault;
         switch (fault.size) {
@@ -283,14 +261,7 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
       }
       if (!migrate_on_touch_.empty()) {
         const Addr piece = AlignDown(access.va, BytesOf(mapping->size));
-        if constexpr (kSpeculative) {
-          // A hint-mark hit consumes the mark (and may migrate the piece) —
-          // shared mutations. A miss is exactly the serial Erase-returns-
-          // false path: no mutation, so speculation may continue.
-          if (migrate_on_touch_.Contains(piece)) {
-            return false;
-          }
-        } else if (migrate_on_touch_.Erase(piece)) {
+        if (migrate_on_touch_.Erase(piece)) {
           if (mapping->node != node) {
             if (auto moved = address_space_->MigratePage(piece, node)) {
               cost += sim_.costs.fault_fixed / 2;  // hinting fault on this core
@@ -334,20 +305,9 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
     }
     if (--ibs_countdown == 0) {
       ibs_countdown = ibs_interval;
-      if constexpr (kSpeculative) {
-        // The engine's per-node sample stores are shared; queue the sample
-        // with its absolute access index and let the apply phase replay it
-        // in serial (round, thread) order.
-        ctx.pending_samples.push_back(
-            ShardContext::PendingSample{access.va, base_index + i, home, dram});
-        if (presketch_enabled_) {
-          ctx.spec_sketch_pages.push_back(AlignDown(access.va, kBytes4K));
-        }
-      } else {
-        ibs_.Sample(access.va, core, node, home, dram);
-        if (presketch_enabled_) {
-          epoch_presketch_.Add(AlignDown(access.va, kBytes4K), +1);
-        }
+      ibs_.Sample(access.va, core, node, home, dram);
+      if (presketch_enabled_) {
+        epoch_presketch_.Add(AlignDown(access.va, kBytes4K), +1);
       }
     }
     exec_cycles += cost;
@@ -359,164 +319,19 @@ bool Simulation::ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses,
   cc.dram_remote += dram_remote;
   ibs_.countdown(core) = ibs_countdown;
   ctx.rng = rng;
-  return true;
 }
 
-void Simulation::ExecuteEpochAccesses(bool epoch_in_setup) {
+void Simulation::ExecuteEpochAccesses() {
   const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
-  const std::size_t num_rounds = (accesses + kSliceAccesses - 1) / kSliceAccesses;
-  // Setup epochs are one long first-touch storm: nearly every window would
-  // abort on a fault, so don't bother speculating. This is a property of the
-  // simulation state, not of the shard count — every shard count takes the
-  // same branch here, which the determinism argument needs.
-  if (shard_pool_ == nullptr || epoch_in_setup) {
-    RunRoundsSerial(0, num_rounds);
-    return;
-  }
-  std::size_t round = 0;
-  while (round < num_rounds) {
-    if (serial_penalty_rounds_ > 0) {
-      const std::size_t span = std::min(serial_penalty_rounds_, num_rounds - round);
-      RunRoundsSerial(round, round + span);
-      serial_penalty_rounds_ -= span;
-      round += span;
-      continue;
-    }
-    const std::size_t span = std::min(window_rounds_, num_rounds - round);
-    if (TrySpeculativeWindow(round, round + span)) {
-      window_rounds_ = std::min(kMaxWindowRounds, window_rounds_ * 2);
-    } else {
-      // Replay the window with the unchanged serial engine, then stay serial
-      // for a penalty span: aborts cluster (fault bursts, post-split lazy
-      // placement), and a failed window costs a full snapshot + partial run
-      // + rollback on top of the replay.
-      RunRoundsSerial(round, round + span);
-      serial_penalty_rounds_ = 4 * window_rounds_;
-      window_rounds_ = std::max(kMinWindowRounds, window_rounds_ / 2);
-    }
-    round += span;
-  }
-}
-
-void Simulation::RunRoundsSerial(std::size_t first_round, std::size_t last_round) {
-  const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
-  for (std::size_t r = first_round; r < last_round; ++r) {
-    const std::size_t offset = r * kSliceAccesses;
+  for (std::size_t offset = 0; offset < accesses; offset += kSliceAccesses) {
     const std::size_t slice_end = std::min(offset + kSliceAccesses, accesses);
     for (int t = 0; t < topo_.num_cores(); ++t) {
-      ShardContext& ctx = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))];
+      CoreContext& ctx = core_ctx_[static_cast<std::size_t>(CoreOfThread(t))];
       const std::size_t end = std::min(slice_end, ctx.batch.size());
       if (offset < end) {
-        ProcessSlice<false>(ctx, ctx.batch.data() + offset, end - offset, offset);
+        ProcessSlice(ctx, ctx.batch.data() + offset, end - offset);
       }
     }
-  }
-}
-
-bool Simulation::TrySpeculativeWindow(std::size_t first_round, std::size_t last_round) {
-  spec_failed_.store(false, std::memory_order_relaxed);
-  const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
-  const std::size_t offset = first_round * kSliceAccesses;
-  const std::size_t window_end = std::min(last_round * kSliceAccesses, accesses);
-  const int cores = topo_.num_cores();
-  const int shards = shard_pool_->shards();
-  shard_pool_->Run([&](int worker) {
-    // Snapshot every assigned core before running any of them: a failed
-    // window restores all contexts, including ones this worker never
-    // started (their snapshot equals their live state — restoring is a
-    // no-op, which keeps the rollback branch-free).
-    for (int t = worker; t < cores; t += shards) {
-      SnapshotShard(shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))]);
-    }
-    for (int t = worker; t < cores; t += shards) {
-      if (spec_failed_.load(std::memory_order_relaxed)) {
-        return;  // early bail: the window is already doomed
-      }
-      ShardContext& ctx = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))];
-      const std::size_t end = std::min(window_end, ctx.batch.size());
-      if (offset >= end) {
-        continue;
-      }
-      // The whole window as one contiguous mega-slice: with no shared-state
-      // mutation inside the window, a thread's consecutive serial slices
-      // see exactly the state this single call sees, so the concatenation
-      // is access-for-access identical.
-      if (!ProcessSlice<true>(ctx, ctx.batch.data() + offset, end - offset, offset)) {
-        spec_failed_.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  if (spec_failed_.load(std::memory_order_relaxed)) {
-    for (ShardContext& ctx : shard_ctx_) {
-      RestoreShard(ctx);
-    }
-    return false;
-  }
-  CommitWindow(first_round, last_round);
-  return true;
-}
-
-void Simulation::SnapshotShard(ShardContext& ctx) {
-  ctx.tlb_backup = ctx.tlb;
-  ctx.rng_backup = ctx.rng;
-  ctx.cc_backup = counters_.cores[static_cast<std::size_t>(ctx.core)];
-  ctx.core_node_requests_backup = counters_.core_node_requests[static_cast<std::size_t>(ctx.core)];
-  ctx.ibs_countdown_backup = ibs_.countdown(ctx.core);
-}
-
-void Simulation::RestoreShard(ShardContext& ctx) {
-  ctx.tlb = ctx.tlb_backup;
-  ctx.rng = ctx.rng_backup;
-  counters_.cores[static_cast<std::size_t>(ctx.core)] = ctx.cc_backup;
-  counters_.core_node_requests[static_cast<std::size_t>(ctx.core)] = ctx.core_node_requests_backup;
-  ibs_.countdown(ctx.core) = ctx.ibs_countdown_backup;
-  std::fill(ctx.spec_node_requests.begin(), ctx.spec_node_requests.end(), 0);
-  std::fill(ctx.spec_node_incoming_remote.begin(), ctx.spec_node_incoming_remote.end(), 0);
-  ctx.pending_samples.clear();
-  ctx.pending_cursor = 0;
-  ctx.spec_sketch_pages.clear();
-}
-
-void Simulation::CommitWindow(std::size_t first_round, std::size_t last_round) {
-  // Fold the shared-counter deltas. These are integer sums, so any fold
-  // order produces the serial totals; canonical core order keeps it
-  // auditable.
-  for (ShardContext& ctx : shard_ctx_) {
-    for (int n = 0; n < topo_.num_nodes(); ++n) {
-      const auto idx = static_cast<std::size_t>(n);
-      counters_.node_requests[idx] += ctx.spec_node_requests[idx];
-      counters_.node_incoming_remote[idx] += ctx.spec_node_incoming_remote[idx];
-      ctx.spec_node_requests[idx] = 0;
-      ctx.spec_node_incoming_remote[idx] = 0;
-    }
-    // Presketch deltas fold here too (sketch profile mode): counted sums,
-    // so the canonical core order reproduces the serial additions exactly.
-    for (const Addr page : ctx.spec_sketch_pages) {
-      epoch_presketch_.Add(page, +1);
-    }
-    ctx.spec_sketch_pages.clear();
-  }
-  // Replay pending IBS samples into the engine in exact serial order: the
-  // serial loop runs (round, thread) and a thread's samples within a round
-  // are ordered by access index, so draining each thread's queue up to the
-  // round boundary reproduces the per-node store contents byte for byte.
-  const std::size_t accesses = sim_.accesses_per_thread_per_epoch;
-  for (std::size_t r = first_round; r < last_round; ++r) {
-    const std::size_t round_end = std::min((r + 1) * kSliceAccesses, accesses);
-    for (int t = 0; t < topo_.num_cores(); ++t) {
-      ShardContext& ctx = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))];
-      while (ctx.pending_cursor < ctx.pending_samples.size() &&
-             ctx.pending_samples[ctx.pending_cursor].index < round_end) {
-        const ShardContext::PendingSample& sample = ctx.pending_samples[ctx.pending_cursor];
-        ibs_.Sample(sample.va, ctx.core, ctx.node, sample.home, sample.dram);
-        ++ctx.pending_cursor;
-      }
-    }
-  }
-  for (ShardContext& ctx : shard_ctx_) {
-    ctx.pending_samples.clear();
-    ctx.pending_cursor = 0;
   }
 }
 
@@ -876,7 +691,7 @@ Cycles Simulation::RunPolicies(Cycles wall_so_far, EpochRecord& record) {
     }
   }
 
-  for (ShardContext& ctx : shard_ctx_) {
+  for (CoreContext& ctx : core_ctx_) {
     for (const auto& [page_base, size] : shootdowns) {
       ctx.tlb.InvalidatePage(page_base, size);
     }
@@ -914,7 +729,7 @@ RunResult Simulation::Run() {
       fault_plan_->BeginEpoch(epoch, phys_);
     }
     counters_.Reset();
-    for (ShardContext& ctx : shard_ctx_) {
+    for (CoreContext& ctx : core_ctx_) {
       ctx.fault_parts = FaultCycleParts{};
     }
     const bool epoch_in_setup = !workload_->SetupDone();
@@ -949,22 +764,22 @@ RunResult Simulation::Run() {
       region_intensity_.push_back(region.dram_intensity);
     }
     if (capture_ != nullptr) {
-      // The serial capture point: batch generation below is single-threaded
-      // at every shard count and in both engines, so the recorded stream is
-      // invariant across jobs × shards × engine (DESIGN.md §14).
+      // The capture point: batch generation below runs on the cell's one
+      // thread, so the recorded stream is invariant across jobs
+      // (DESIGN.md §14).
       capture_->BeginEpoch(epoch_in_setup);
       for (const auto& event : map_events) {
         capture_->RegionMap(event);
       }
     }
     for (int t = 0; t < topo_.num_cores(); ++t) {
-      auto& batch = shard_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
+      auto& batch = core_ctx_[static_cast<std::size_t>(CoreOfThread(t))].batch;
       workload_->FillBatch(t, sim_.accesses_per_thread_per_epoch, batch);
       if (capture_ != nullptr) {
         capture_->Batch(t, batch);
       }
     }
-    ExecuteEpochAccesses(epoch_in_setup);
+    ExecuteEpochAccesses();
 
     // Page-table-lock contention: the fixed part of fault cost scales with
     // the number of cores faulting concurrently this epoch ([3] in the
@@ -979,7 +794,7 @@ RunResult Simulation::Run() {
         std::min(sim_.costs.fault_contention_max,
                  1.0 + sim_.costs.fault_contention_slope * std::max(0, faulting_cores - 1));
     for (int c = 0; c < topo_.num_cores(); ++c) {
-      const FaultCycleParts& parts = shard_ctx_[static_cast<std::size_t>(c)].fault_parts;
+      const FaultCycleParts& parts = core_ctx_[static_cast<std::size_t>(c)].fault_parts;
       counters_.cores[static_cast<std::size_t>(c)].fault_cycles =
           parts.zero + static_cast<Cycles>(static_cast<double>(parts.fixed) * contention);
     }
@@ -1120,7 +935,7 @@ RunResult Simulation::Run() {
           address_space_->MunmapRange(event.base, event.bytes);
       result.unmapped_bytes += stats.freed_bytes;
       ++result.region_unmaps;
-      for (ShardContext& ctx : shard_ctx_) {
+      for (CoreContext& ctx : core_ctx_) {
         ctx.tlb.InvalidateRange(event.base, event.bytes);
       }
     }

@@ -14,7 +14,6 @@
 #include "src/common/rng.h"
 #include "src/core/carrefour_lp.h"
 #include "src/core/config.h"
-#include "src/core/shard.h"
 #include "src/hw/counters.h"
 #include "src/hw/ibs.h"
 #include "src/hw/interconnect.h"
@@ -32,6 +31,29 @@
 #include "src/workloads/workload.h"
 
 namespace numalp {
+
+// Per-page-fault cycle accounting, split so the fixed (page-table-lock)
+// part can be scaled by the epoch's measured fault concurrency while the
+// zeroing part stays per-byte (simulation.cc's epoch-end contention pass).
+struct FaultCycleParts {
+  Cycles fixed = 0;
+  Cycles zero = 0;
+};
+
+// One simulated core's slice-local state: everything ProcessSlice mutates
+// that belongs to exactly one core.
+struct CoreContext {
+  CoreContext(const TlbConfig& tlb_config, int core_id, int node_id)
+      : tlb(tlb_config), core(core_id), node(node_id) {}
+
+  Tlb tlb;
+  Rng rng{0};
+  AddressSpace::TranslationCache translate_cache;
+  FaultCycleParts fault_parts;
+  std::vector<WorkloadAccess> batch;  // this core's thread's epoch batch
+  int core = 0;
+  int node = 0;
+};
 
 struct EpochRecord {
   int epoch = 0;
@@ -158,9 +180,6 @@ class Simulation {
   AddressSpace& address_space() { return *address_space_; }
   ThpState& thp_state() { return thp_state_; }
   const Topology& topology() const { return topo_; }
-  // Effective intra-cell shard count after the oversubscription clamp
-  // (DESIGN.md Section 10); 1 = the serial engine.
-  int shard_count() const { return shard_count_; }
   // The cell's fault schedule, or nullptr with faults off.
   const FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
@@ -175,47 +194,16 @@ class Simulation {
   // first-touch tens of 2MB windows "before" its peers, which no concurrent
   // machine does (see ExecuteEpochAccesses).
   static constexpr std::size_t kSliceAccesses = 32;
-  // Speculative-window controller bounds, in rounds (one round = every
-  // thread running one kSliceAccesses slice).
-  static constexpr std::size_t kMinWindowRounds = 8;
-  static constexpr std::size_t kMaxWindowRounds = 256;
 
   int CoreOfThread(int thread) const;
   // Executes one slice of a thread's access batch on the context's core.
   // Batching hoists the per-core state (counters, RNG, TLB, translate
   // cache) and the per-region cost tables out of the per-access path; each
   // access is processed exactly as the seed's per-call engine did.
-  //
-  // kSpeculative runs the identical access arithmetic against frozen shared
-  // state: mutations of shared counters are redirected to the context's
-  // delta scratch, IBS samples queue as pending (tagged with
-  // `base_index + i` for serial-order replay), and the slice aborts —
-  // returns false — at the first access that would mutate shared state (a
-  // demand fault or a migrate-on-touch hint hit). The serial instantiation
-  // always returns true.
-  template <bool kSpeculative>
-  bool ProcessSlice(ShardContext& ctx, const WorkloadAccess* accesses, std::size_t count,
-                    std::size_t base_index);
-  // Runs every thread's epoch batch in round-robin kSliceAccesses slices —
-  // serially when shard_count() == 1 or during the setup fault storm,
-  // otherwise as speculative parallel windows with serial fallback.
-  void ExecuteEpochAccesses(bool epoch_in_setup);
-  // The seed's serial interleaving of rounds [first, last) — the reference
-  // semantics every parallel window must (and, committed, provably does)
-  // reproduce, and the replay path for failed windows.
-  void RunRoundsSerial(std::size_t first_round, std::size_t last_round);
-  // One speculative window over rounds [first, last): snapshot per-core
-  // state, run each core's window slice in parallel against the frozen
-  // shared state, then either commit the per-shard logs serially (no slice
-  // aborted — the window provably equals the serial interleaving) or roll
-  // every core back and report false for serial replay.
-  bool TrySpeculativeWindow(std::size_t first_round, std::size_t last_round);
-  void SnapshotShard(ShardContext& ctx);
-  void RestoreShard(ShardContext& ctx);
-  // Serialized apply phase of a committed window: fold the contexts' shared-
-  // counter deltas in canonical core order and replay pending IBS samples
+  void ProcessSlice(CoreContext& ctx, const WorkloadAccess* accesses, std::size_t count);
+  // Runs every thread's epoch batch in round-robin kSliceAccesses slices,
   // in serial (round, thread) order.
-  void CommitWindow(std::size_t first_round, std::size_t last_round);
+  void ExecuteEpochAccesses();
   // Runs the policy stack at the epoch boundary; returns overhead cycles and
   // fills the epoch record. `wall_so_far` is the app portion of the epoch.
   Cycles RunPolicies(Cycles wall_so_far, EpochRecord& record);
@@ -269,31 +257,12 @@ class Simulation {
   // Sketch profile mode's epoch presketch (DESIGN.md Section 11): the
   // current epoch's sampled 4KB page bases, counted as they are sampled so
   // PushEpoch's admission test sees the whole epoch without an extra pass.
-  // Speculative slices stage their additions in ShardContext::
-  // spec_sketch_pages and CommitWindow folds them (commutative sums — the
-  // shard-count identity argument of Section 10 covers them unchanged).
   // Maintained only when the window is actually consumed in sketch mode.
   CountSketch epoch_presketch_;
   bool presketch_enabled_ = false;
-  // One execution context per core, owning every piece of slice-local state
-  // (TLB, RNG, translation cache, fault accounting, the core's thread's
-  // batch, and the speculative-window scratch/snapshot). Indexed by core;
-  // thread t's batch lives in the context of CoreOfThread(t) — the pinning
-  // is a bijection.
-  std::vector<ShardContext> shard_ctx_;
-  // The sharded engine (DESIGN.md Section 10). shard_count_ == 1 (the
-  // default, and the clamped result on saturated hosts) takes the pure
-  // serial path; the pool exists only when it is > 1.
-  int shard_count_ = 1;
-  std::unique_ptr<ShardPool> shard_pool_;
-  std::atomic<bool> spec_failed_{false};
-  // Adaptive window controller: grow on committed windows, shrink and fall
-  // back to serial for a penalty span after a failed one. Deterministic —
-  // window success depends only on simulation state, never on scheduling —
-  // so the window boundaries (and therefore everything) are identical at
-  // any shard count.
-  std::size_t window_rounds_ = kMinWindowRounds;
-  std::size_t serial_penalty_rounds_ = 0;
+  // One execution context per core, indexed by core; thread t's batch lives
+  // in the context of CoreOfThread(t) — the pinning is a bijection.
+  std::vector<CoreContext> core_ctx_;
   // Per-region cost tables hoisted out of the access loop.
   std::vector<double> region_mlp_;
   std::vector<double> region_intensity_;

@@ -5,15 +5,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string_view>
 
+#include "src/common/parse.h"
 #include "src/report/sink.h"
 
 namespace numalp::report {
 
 namespace {
 
-// Upper bound of --jobs and --shards.
+// Upper bound of --jobs.
 constexpr int kMaxThreads = 1024;
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
@@ -29,10 +31,6 @@ void PrintUsage(std::FILE* out, const ToolInfo& info) {
                "  --epochs N             cap epochs per run (NUMALP_MAX_EPOCHS)\n"
                "  --accesses N           accesses per thread per epoch"
                " (NUMALP_ACCESSES_PER_EPOCH)\n"
-               "  --shards N             intra-cell shard threads per simulation"
-               " (NUMALP_SHARDS);\n"
-               "                         clamped to the host budget unless forced,"
-               " never changes results\n"
                "  --profile-mode M       profiling metadata: exact | sketch"
                " (NUMALP_PROFILE_MODE;\n"
                "                         default exact; sketch at the default"
@@ -85,12 +83,16 @@ void PrintUsage(std::FILE* out, const ToolInfo& info) {
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<ExtraFlag>& extras) {
   Options options;
-  options.sim = WithEnvOverrides(SimConfig{});
-
   auto fail = [&]() {
     PrintUsage(stderr, info);
     std::exit(2);
   };
+  try {
+    options.sim = WithEnvOverrides(SimConfig{});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", info.name, e.what());
+    fail();
+  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -130,8 +132,6 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
       // Trace headers record the per-epoch access count in 32 bits.
       options.sim.accesses_per_thread_per_epoch =
           number(std::uint64_t{1}, std::uint64_t{std::numeric_limits<std::uint32_t>::max()});
-    } else if (arg == "--shards") {
-      options.sim.shards = number(1, kMaxThreads);
     } else if (arg == "--profile-mode") {
       if (!ParseProfileMode(next(), &options.sim.profile_mode)) {
         fail();

@@ -1,19 +1,16 @@
 // The one command-line parser shared by every bench, example and tool, so
 // --help output and the results-pipeline flags (--format, --out-dir, --jobs,
-// --seed, --epochs, --accesses, --shards, --profile-mode,
-// --profile-threshold, --profile-capacity) are uniform across all binaries
+// --seed, --epochs, --accesses, --profile-mode, --profile-threshold,
+// --profile-capacity) are uniform across all binaries
 // (DESIGN.md Section 6). Binaries add tool-specific flags as ExtraFlags; the workload/
 // machine/policy name parsers that numalp_run and quickstart historically
 // each hand-rolled live here too.
 #ifndef NUMALP_SRC_REPORT_OPTIONS_H_
 #define NUMALP_SRC_REPORT_OPTIONS_H_
 
-#include <charconv>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "src/core/config.h"
@@ -58,27 +55,14 @@ struct Options {
 };
 
 // Parses argv. Standard flags: --format, --out-dir, --jobs, --seed,
-// --epochs, --accesses, --shards, --profile-mode, --profile-threshold,
+// --epochs, --accesses, --profile-mode, --profile-threshold,
 // --profile-capacity, --help (prints uniform usage, exits 0).
 // Unknown flags or bad values print usage to stderr and exit 2; a numeric
 // value is bad unless ParseNumber accepts it within the flag's range
-// (docs/KNOBS.md lists the ranges).
+// (docs/KNOBS.md lists the ranges). A bad environment knob
+// (WithEnvOverrides) is reported by name and exits 2 the same way.
 Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
                       const std::vector<ExtraFlag>& extras = {});
-
-// The checked parse behind every numeric flag: `text` as a T when the whole
-// token is one number (no sign on unsigned types, no whitespace, no
-// trailing characters) within [lo, hi]; nullopt otherwise.
-template <typename T>
-std::optional<T> ParseNumber(const char* text, T lo, T hi) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [stop, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
-    return std::nullopt;
-  }
-  return value;
-}
 
 // Name parsers shared by the CLI tools (historically duplicated between
 // numalp_run and quickstart, with divergent aliases).

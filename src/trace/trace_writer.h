@@ -1,10 +1,9 @@
 // Records an access stream into the binary trace format (trace_format.h).
 //
-// The writer is fed at the simulation's *serial* commit points only — the
-// per-epoch batch-fill loop runs single-threaded regardless of shard count or
-// engine, so capture observes the identical stream at every jobs × shards ×
-// engine combination and adds zero synchronization to the parallel slices
-// (the bounded-overhead capture lesson: the recorder must not distort the
+// The writer is fed at the simulation's per-epoch batch-fill points, which
+// run on the cell's one thread, so capture observes the identical stream at
+// every --jobs setting and adds no synchronization to the access loop (the
+// bounded-overhead capture lesson: the recorder must not distort the
 // workload being recorded).
 #ifndef NUMALP_SRC_TRACE_TRACE_WRITER_H_
 #define NUMALP_SRC_TRACE_TRACE_WRITER_H_

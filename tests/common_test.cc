@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -226,6 +229,26 @@ TEST_P(RngPropertyTest, UniformInRangeAndSpread) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RngPropertyTest,
                          ::testing::Values(1, 2, 3, 99, 12345, 0xdeadbeef));
+
+// The checked parse behind flags and env knobs: one whole token, in range,
+// or nothing.
+TEST(ParseNumberTest, AcceptsOnlyWholeTokensInRange) {
+  EXPECT_EQ(ParseNumber("40", 1, 100), 40);
+  EXPECT_EQ(ParseNumber("1", 1, 100), 1);
+  EXPECT_EQ(ParseNumber("100", 1, 100), 100);
+  for (const char* bad : {"", "abc", "1x", " 5", "5 ", "+5", "0", "101", "-3", "4.5",
+                          "99999999999999999999"}) {
+    EXPECT_EQ(ParseNumber(bad, 1, 100), std::nullopt) << "'" << bad << "'";
+  }
+  const std::uint64_t max = ~std::uint64_t{0};
+  EXPECT_EQ(ParseNumber("18446744073709551615", std::uint64_t{0}, max), max);
+  EXPECT_EQ(ParseNumber("-1", std::uint64_t{0}, max), std::nullopt);
+  EXPECT_EQ(ParseNumber("12.5", 0.0, 100.0), 12.5);
+  EXPECT_EQ(ParseNumber("0", 0.0, 100.0), 0.0);
+  for (const char* bad : {"250", "-0.5", "nan", "inf", "1e3", "5%"}) {
+    EXPECT_EQ(ParseNumber(bad, 0.0, 100.0), std::nullopt) << "'" << bad << "'";
+  }
+}
 
 }  // namespace
 }  // namespace numalp

@@ -1,6 +1,7 @@
-# numalp_run must reject malformed or out-of-range numeric flags with usage
-# and exit status 2 instead of running on a silently misparsed value. Run by
-# ctest as
+# numalp_run must reject malformed or out-of-range numeric flags, and
+# environment knobs with values the matching flag would reject, with usage
+# and exit status 2 instead of running on a silently misparsed or ignored
+# value. Run by ctest as
 #   cmake -DNUMALP_RUN=... -P <this file>
 set(bad_args
     "--epochs abc"
@@ -20,12 +21,37 @@ foreach(shown IN LISTS bad_args)
   message(STATUS "numalp_run ${shown}: rejected (exit 2)")
 endforeach()
 
-# Control: well-formed values of the same flags still run.
-execute_process(COMMAND ${NUMALP_RUN} --workload CG.D --machine A --epochs 2 --seed 7
+# The same checks for environment knobs. The run itself is tiny, so a
+# binary that ignored the bad value would finish with exit 0, not 2.
+set(bad_env
+    "NUMALP_MAX_EPOCHS=abc"
+    "NUMALP_FAULT_ALLOC_PCT=250"
+    "NUMALP_PROFILE_MODE=bogus"
+    "NUMALP_FAULT_PROFILE=bogus")
+foreach(shown IN LISTS bad_env)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env ${shown}
+                          ${NUMALP_RUN} --workload CG.D --machine A --epochs 2 --accesses 64
+                  RESULT_VARIABLE status
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE errors)
+  string(REGEX REPLACE "=.*" "" name "${shown}")
+  if(NOT status EQUAL 2)
+    message(FATAL_ERROR "${shown} numalp_run: expected exit 2, got ${status}\n${errors}")
+  endif()
+  if(NOT errors MATCHES "${name}")
+    message(FATAL_ERROR "${shown} numalp_run: the error does not name ${name}\n${errors}")
+  endif()
+  message(STATUS "${shown} numalp_run: rejected (exit 2)")
+endforeach()
+
+# Control: well-formed values of the same flags and knobs still run.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env NUMALP_MAX_EPOCHS=3 NUMALP_FAULT_ALLOC_PCT=25
+                        NUMALP_PROFILE_MODE=sketch NUMALP_FAULT_PROFILE=frag
+                        ${NUMALP_RUN} --workload CG.D --machine A --epochs 2 --seed 7
                         --accesses 64 --fault-alloc-pct 25
                 RESULT_VARIABLE status
                 OUTPUT_QUIET
                 ERROR_VARIABLE errors)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "numalp_run with valid numeric flags: expected exit 0, got ${status}\n${errors}")
+  message(FATAL_ERROR "numalp_run with valid numeric flags and knobs: expected exit 0, got ${status}\n${errors}")
 endif()

@@ -4,7 +4,7 @@
 // tests/oracle/ (across splits / promotions / migrations, the window
 // boundary, TLB churn and every workload pattern); ranged TLB shootdowns
 // against per-page loops; the pooled page table; the translate cache; and
-// golden pins of whole-engine runs across the shard, jobs and profile axes.
+// golden pins of whole-engine runs across the jobs and profile axes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -600,7 +600,7 @@ TEST(TranslateCacheTest, CacheHitsAreInvalidatedByMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine golden pins and the shard / jobs / profile identity axes.
+// Whole-engine golden pins and the jobs / profile identity axes.
 // ---------------------------------------------------------------------------
 
 void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
@@ -696,42 +696,12 @@ TEST(EngineIdentityTest, SketchProfileModeIsBitIdentical) {
   }
 }
 
-// The acceptance-criteria regression for the sharded engine (DESIGN.md
-// Section 10): every shard count must reproduce the serial engine bit for
-// bit, on both the hot-page driver (CG.D) and the UA.B path whose
-// migrate-on-touch marks exercise the speculation abort. shards_force
-// bypasses the oversubscription clamp so real worker threads run even on a
-// saturated (or single-core) test host.
-TEST(EngineIdentityTest, ShardCountsAreBitIdentical) {
-  const Topology topo = Topology::MachineA();
-  for (const BenchmarkId bench : {BenchmarkId::kCG_D, BenchmarkId::kUA_B}) {
-    for (const PolicyKind kind : {PolicyKind::kThp, PolicyKind::kCarrefourLp}) {
-      SimConfig sim;
-      sim.accesses_per_thread_per_epoch = 1024;
-      sim.max_epochs = 25;
-      WorkloadSpec spec = MakeWorkloadSpec(bench, topo);
-      spec.steady_accesses_per_thread = 16'000;
-
-      Simulation serial(topo, spec, MakePolicyConfig(kind), sim);
-      const RunResult serial_result = serial.Run();
-      for (const int shards : {2, 4, 8}) {
-        SimConfig sharded_sim = sim;
-        sharded_sim.shards = shards;
-        sharded_sim.shards_force = true;
-        Simulation sharded(topo, spec, MakePolicyConfig(kind), sharded_sim);
-        EXPECT_EQ(sharded.shard_count(), shards);
-        ExpectIdenticalRuns(serial_result, sharded.Run());
-      }
-    }
-  }
-}
-
 // Datacenter machines and explicitly-1GB-backed workloads ride the same
 // identity invariants as the paper machines (DESIGN.md Section 13.2's
 // argument: on all-CPU machines the cpu-node refactor is the identity, and
 // on far-memory machines every policy draw still happens at the same serial
 // sites). Each cell is pinned to tests/golden/datacenter_cells.txt and held
-// across shards (1 vs forced 4) and profile mode (exact vs sketch).
+// across profile mode (exact vs sketch).
 TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   struct Cell {
     Topology topo;
@@ -766,13 +736,6 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
                           (cell.one_gig ? "/1G" : ""),
                       golden_result, &rendered);
 
-    SimConfig shard_sim = sim;
-    shard_sim.shards = 4;
-    shard_sim.shards_force = true;
-    Simulation sharded(cell.topo, spec, policy, shard_sim);
-    EXPECT_EQ(sharded.shard_count(), 4);
-    ExpectIdenticalRuns(golden_result, sharded.Run());
-
     SimConfig sketch_sim = sim;
     sketch_sim.profile_mode = ProfileMode::kSketch;
     Simulation sketch(cell.topo, spec, policy, sketch_sim);
@@ -781,11 +744,11 @@ TEST(EngineIdentityTest, DatacenterAndOneGigCellsAreBitIdentical) {
   golden::ExpectMatchesGolden("datacenter_cells", rendered);
 }
 
-// A small grid at jobs={1,8} x shards={1,4} x profile={exact,sketch} must
-// produce one identical result set — parallelism (between cells or inside
-// one) never changes results, and neither does the profiling metadata
-// representation — and that set is pinned to tests/golden/jobs_grid.txt.
-TEST(EngineIdentityTest, JobsShardsAndProfileAxesAreBitIdentical) {
+// A small grid at jobs={1,8} x profile={exact,sketch} must produce one
+// identical result set — parallelism between cells never changes results,
+// and neither does the profiling metadata representation — and that set is
+// pinned to tests/golden/jobs_grid.txt.
+TEST(EngineIdentityTest, JobsAndProfileAxesAreBitIdentical) {
   ExperimentGrid grid;
   grid.machines = {Topology::MachineA()};
   grid.workloads = {BenchmarkId::kCG_D, BenchmarkId::kUA_B};
@@ -797,14 +760,10 @@ TEST(EngineIdentityTest, JobsShardsAndProfileAxesAreBitIdentical) {
   std::vector<GridResults> all;
   for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
     for (const int jobs : {1, 8}) {
-      for (const int shards : {1, 4}) {
-        ExperimentGrid g = grid;
-        g.sim.profile_mode = mode;
-        g.sim.shards = shards;
-        g.sim.shards_force = true;
-        const ExperimentRunner runner(jobs);
-        all.push_back(RunGrid(g, runner));
-      }
+      ExperimentGrid g = grid;
+      g.sim.profile_mode = mode;
+      const ExperimentRunner runner(jobs);
+      all.push_back(RunGrid(g, runner));
     }
   }
   const GridResults& golden = all.front();

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,20 +107,17 @@ TEST(ExperimentRunnerTest, GridIsDeterministicAcrossJobCounts) {
   }
 }
 
-// End-to-end determinism across the jobs x shards x profile-mode matrix, at
-// the artifact level: the streamed JSONL a bench would write must be
-// byte-identical no matter how many grid workers or intra-cell shards ran
-// it, and no matter whether the profiler kept exact aggregates or ran the
+// End-to-end determinism across the jobs x profile-mode matrix, at the
+// artifact level: the streamed JSONL a bench would write must be
+// byte-identical no matter how many grid workers ran it, and no matter whether the profiler kept exact aggregates or ran the
 // sketch admission front end at its bit-identical default threshold (the
 // oracle CI job diffs exactly this, at full grid scale). The grid adds UA.B
 // — the false-sharing cell whose demotion/hinting path is the historically
 // fragile one — on top of TestGrid's CG.D and WC.
-TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsShardsAndProfileModes) {
-  const auto render = [](int jobs, int shards, ProfileMode mode) {
+TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsAndProfileModes) {
+  const auto render = [](int jobs, ProfileMode mode) {
     ExperimentGrid grid = TestGrid();
     grid.workloads.push_back(BenchmarkId::kUA_B);
-    grid.sim.shards = shards;
-    grid.sim.shards_force = true;  // real worker threads even on a busy host
     grid.sim.profile_mode = mode;
     std::ostringstream out;
     {
@@ -128,18 +126,14 @@ TEST(ExperimentRunnerTest, GridJsonlIsByteIdenticalAcrossJobsShardsAndProfileMod
     }
     return out.str();
   };
-  const std::string golden = render(/*jobs=*/1, /*shards=*/1, ProfileMode::kExact);
+  const std::string golden = render(/*jobs=*/1, ProfileMode::kExact);
   EXPECT_FALSE(golden.empty());
   for (const int jobs : {1, 8}) {
-    for (const int shards : {1, 4}) {
-      for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
-        if (jobs == 1 && shards == 1 && mode == ProfileMode::kExact) {
-          continue;
-        }
-        EXPECT_EQ(render(jobs, shards, mode), golden)
-            << "jobs " << jobs << " shards " << shards << " profile "
-            << NameOf(mode);
+    for (const ProfileMode mode : {ProfileMode::kExact, ProfileMode::kSketch}) {
+      if (jobs == 1 && mode == ProfileMode::kExact) {
+        continue;
       }
+      EXPECT_EQ(render(jobs, mode), golden) << "jobs " << jobs << " profile " << NameOf(mode);
     }
   }
 }
@@ -250,16 +244,34 @@ TEST(ExperimentRunnerTest, ComparePoliciesMatchesGrid) {
   }
 }
 
-TEST(ExperimentRunnerTest, EnvOverridesParsePositiveValues) {
+// Environment knobs take the flags' ranges: an unset variable leaves the
+// default, and a set one that is not a whole in-range token throws an error
+// naming the variable (ParseToolArgs turns it into exit status 2).
+void ExpectBadEnv(const char* name, const char* value) {
+  ASSERT_EQ(setenv(name, value, 1), 0);
+  try {
+    WithEnvOverrides(SimConfig{});
+    ADD_FAILURE() << name << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+  }
+  ASSERT_EQ(unsetenv(name), 0);
+}
+
+TEST(ExperimentRunnerTest, EnvOverridesParseValuesInRange) {
   SimConfig sim;
   const int default_epochs = sim.max_epochs;
   ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
   EXPECT_EQ(WithEnvOverrides(sim).max_epochs, default_epochs);
   ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "7", 1), 0);
   EXPECT_EQ(WithEnvOverrides(sim).max_epochs, 7);
-  ASSERT_EQ(setenv("NUMALP_MAX_EPOCHS", "-3", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).max_epochs, default_epochs);
   ASSERT_EQ(unsetenv("NUMALP_MAX_EPOCHS"), 0);
+  for (const char* bad : {"-3", "0", "abc", "7x", ""}) {
+    ExpectBadEnv("NUMALP_MAX_EPOCHS", bad);
+  }
+  ExpectBadEnv("NUMALP_ACCESSES_PER_EPOCH", "0");
+  ExpectBadEnv("NUMALP_SEED", "1x");
+  ExpectBadEnv("NUMALP_PROFILE_SKETCH_WIDTH", "0");
 }
 
 TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
@@ -268,8 +280,6 @@ TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
   EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kExact);
   ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "sketch", 1), 0);
   EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kSketch);
-  ASSERT_EQ(setenv("NUMALP_PROFILE_MODE", "bogus", 1), 0);
-  EXPECT_EQ(WithEnvOverrides(sim).profile_mode, ProfileMode::kExact);
   ASSERT_EQ(setenv("NUMALP_PROFILE_THRESHOLD", "3", 1), 0);
   ASSERT_EQ(setenv("NUMALP_PROFILE_FILTER_CAPACITY", "4096", 1), 0);
   const SimConfig overridden = WithEnvOverrides(sim);
@@ -278,6 +288,27 @@ TEST(ExperimentRunnerTest, ProfileModeEnvOverrides) {
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_MODE"), 0);
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_THRESHOLD"), 0);
   ASSERT_EQ(unsetenv("NUMALP_PROFILE_FILTER_CAPACITY"), 0);
+  ExpectBadEnv("NUMALP_PROFILE_MODE", "bogus");
+  ExpectBadEnv("NUMALP_PROFILE_THRESHOLD", "0");
+  ExpectBadEnv("NUMALP_PROFILE_FILTER_CAPACITY", "4294967297");
+}
+
+TEST(ExperimentRunnerTest, FaultEnvOverrides) {
+  ASSERT_EQ(setenv("NUMALP_FAULT_PROFILE", "frag", 1), 0);
+  ASSERT_EQ(setenv("NUMALP_FAULT_ALLOC_PCT", "0", 1), 0);
+  ASSERT_EQ(setenv("NUMALP_FAULT_PRESSURE_PCT", "12.5", 1), 0);
+  const SimConfig sim = WithEnvOverrides(SimConfig{});
+  EXPECT_EQ(sim.faults.profile, FaultProfile::kFrag);
+  EXPECT_EQ(sim.faults.alloc_fail_pct, 0.0);
+  EXPECT_EQ(sim.faults.pressure_pct, 12.5);
+  ASSERT_EQ(unsetenv("NUMALP_FAULT_PROFILE"), 0);
+  ASSERT_EQ(unsetenv("NUMALP_FAULT_ALLOC_PCT"), 0);
+  ASSERT_EQ(unsetenv("NUMALP_FAULT_PRESSURE_PCT"), 0);
+  ExpectBadEnv("NUMALP_FAULT_PROFILE", "bogus");
+  ExpectBadEnv("NUMALP_FAULT_ALLOC_PCT", "250");
+  ExpectBadEnv("NUMALP_FAULT_MIGRATE_PCT", "-1");
+  ExpectBadEnv("NUMALP_FAULT_LARGE_MIGRATE_PCT", "x");
+  ExpectBadEnv("NUMALP_FAULT_PRESSURE_PCT", "100.5");
 }
 
 }  // namespace

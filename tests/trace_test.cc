@@ -1,6 +1,6 @@
 // Trace capture/replay tests (DESIGN.md Section 14): binary-format
 // round-trips, strict corruption rejection, capture -> replay ResultRow
-// byte-identity across shard counts and engines, and the unmap-churn ->
+// byte-identity, and the unmap-churn ->
 // buddy-fragmentation regression the tracegen profiles exist to drive.
 #include <gtest/gtest.h>
 
@@ -281,11 +281,10 @@ std::string SerializeRow(const RunSpec& spec, const RunResult& run) {
   return out;
 }
 
-// Capture once, then replay serially and at forced shards 4: every replayed
-// row must reproduce the capturing run's row byte-for-byte (DESIGN.md
-// Section 14's determinism contract), and the capturing run itself is
-// pinned to tests/golden/trace_capture_wc.txt.
-TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShards) {
+// Capture once, then replay: the replayed row must reproduce the capturing
+// run's row byte-for-byte (DESIGN.md Section 14's determinism contract), and
+// the capturing run itself is pinned to tests/golden/trace_capture_wc.txt.
+TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRow) {
   const std::string path = TempPath("trace_capture_cg.bin");
   const Topology topo = Topology::Tiny();
 
@@ -308,18 +307,13 @@ TEST(TraceCaptureReplayTest, ReplayReproducesCaptureRowAcrossShards) {
   golden::RenderRun("WC/THP/capture", capture_run, &rendered);
   golden::ExpectMatchesGolden("trace_capture_wc", rendered);
 
-  for (const int shards : {1, 4}) {
-    RunSpec replay;
-    replay.topo = topo;
-    replay.workload = MakeTraceWorkloadSpec(path);
-    replay.policy = MakePolicyConfig(PolicyKind::kThp);
-    replay.sim = sim;
-    replay.sim.shards = shards;
-    replay.sim.shards_force = shards > 1;
-    Simulation replay_sim(topo, replay.workload, replay.policy, replay.sim);
-    const RunResult replay_run = replay_sim.Run();
-    EXPECT_EQ(golden, SerializeRow(replay, replay_run)) << "shards=" << shards;
-  }
+  RunSpec replay;
+  replay.topo = topo;
+  replay.workload = MakeTraceWorkloadSpec(path);
+  replay.policy = MakePolicyConfig(PolicyKind::kThp);
+  replay.sim = sim;
+  Simulation replay_sim(topo, replay.workload, replay.policy, replay.sim);
+  EXPECT_EQ(golden, SerializeRow(replay, replay_sim.Run()));
   std::filesystem::remove(path);
 }
 

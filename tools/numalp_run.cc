@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/core/config.h"
 #include "src/core/runner.h"
 #include "src/core/simulation.h"
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
       numalp::report::PolicyFlag(&policy),
       {"--ibs-interval", true,
        [&ibs_interval](const char* value) {
-         const auto parsed = numalp::report::ParseNumber(
+         const auto parsed = numalp::ParseNumber(
              value, std::uint64_t{1}, std::numeric_limits<std::uint64_t>::max());
          ibs_interval = parsed.value_or(0);
          return parsed.has_value();

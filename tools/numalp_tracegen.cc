@@ -18,6 +18,7 @@
 #include <limits>
 #include <string>
 
+#include "src/common/parse.h"
 #include "src/report/options.h"
 #include "src/topo/topology.h"
 #include "src/trace/tracegen.h"
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     // The next argument as a number in [lo, hi], or usage and exit 2.
     auto number = [&](auto lo, auto hi) {
       const char* text = next();
-      const auto parsed = numalp::report::ParseNumber(text, lo, hi);
+      const auto parsed = numalp::ParseNumber(text, lo, hi);
       if (!parsed) {
         std::fprintf(stderr, "numalp_tracegen: bad value '%s' for %s\n", text, arg.c_str());
         PrintUsage(stderr);
