@@ -1,12 +1,8 @@
 #include "src/core/config.h"
 
-#include <cstdlib>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
-
-#include "src/common/parse.h"
 
 namespace numalp {
 
@@ -90,37 +86,9 @@ PolicyConfig MakePolicyConfig(PolicyKind kind) {
   return config;
 }
 
-long long PositiveEnvInt(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return 0;
-  }
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? parsed : 0;
-}
-
-namespace {
-
-[[noreturn]] void ThrowBadEnv(const char* name, const char* value) {
+void ThrowBadEnv(const char* name, const char* value) {
   throw std::invalid_argument(std::string("bad value '") + value + "' for " + name);
 }
-
-// Environment variable `name` as a number in [lo, hi] (the range of the
-// matching flag), or nullopt when it is unset.
-template <typename T>
-std::optional<T> EnvNumber(const char* name, T lo, T hi) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return std::nullopt;
-  }
-  const std::optional<T> parsed = ParseNumber(value, lo, hi);
-  if (!parsed) {
-    ThrowBadEnv(name, value);
-  }
-  return parsed;
-}
-
-}  // namespace
 
 SimConfig WithEnvOverrides(SimConfig sim) {
   constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();

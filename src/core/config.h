@@ -3,9 +3,12 @@
 #define NUMALP_SRC_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string_view>
 
 #include "src/carrefour/carrefour.h"
+#include "src/common/parse.h"
 #include "src/core/faults.h"
 #include "src/hw/interconnect.h"
 #include "src/hw/mem_ctrl.h"
@@ -253,9 +256,24 @@ struct PolicyConfig {
 
 PolicyConfig MakePolicyConfig(PolicyKind kind);
 
-// Parses environment variable `name` as a positive integer; returns 0 when
-// unset, non-numeric, or non-positive.
-long long PositiveEnvInt(const char* name);
+// Throws std::invalid_argument("bad value 'VALUE' for NAME").
+[[noreturn]] void ThrowBadEnv(const char* name, const char* value);
+
+// Environment variable `name` as a number in [lo, hi] (the range of the
+// matching flag), or nullopt when it is unset; any other value throws
+// (ThrowBadEnv).
+template <typename T>
+std::optional<T> EnvNumber(const char* name, T lo, T hi) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) {
+    return std::nullopt;
+  }
+  const std::optional<T> parsed = ParseNumber(value, lo, hi);
+  if (!parsed) {
+    ThrowBadEnv(name, value);
+  }
+  return parsed;
+}
 
 // Applies environment overrides to `sim` and returns it: NUMALP_MAX_EPOCHS
 // and NUMALP_ACCESSES_PER_EPOCH bound run length (the ctest smoke tests use

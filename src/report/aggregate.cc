@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
+#include "src/common/parse.h"
 #include "src/report/sink.h"
 
 namespace numalp::report {
@@ -80,10 +84,12 @@ const std::map<std::string, const ResultField*>& FieldsByName() {
   return by_name;
 }
 
-}  // namespace
-
-bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error) {
-  Cursor c{line.data(), line.data() + line.size()};
+// Scans one flat object ('{', "key":value members, '}') and leaves `c` just
+// past the closing brace. Each member goes to set(key, value, quoted), which
+// returns false to reject the value. Returns false with *error set on
+// malformed input. JSONL rows and summary groups are both read with it.
+template <typename Set>
+bool ScanObject(Cursor& c, std::string* error, Set set) {
   SkipWs(c);
   if (c.p >= c.end || *c.p != '{') {
     *error = "expected '{'";
@@ -92,6 +98,7 @@ bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error)
   ++c.p;
   SkipWs(c);
   if (c.p < c.end && *c.p == '}') {
+    ++c.p;
     return true;  // empty object: all defaults
   }
   while (true) {
@@ -110,18 +117,10 @@ bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error)
     SkipWs(c);
     std::string value;
     const bool quoted = c.p < c.end && *c.p == '"';
-    if (quoted ? !ParseQuoted(c, &value) : !ParseBareToken(c, &value)) {
+    if (!(quoted ? ParseQuoted(c, &value) : ParseBareToken(c, &value)) ||
+        !set(key, value, quoted)) {
       *error = "bad value for \"" + key + "\"";
       return false;
-    }
-    const auto& fields = FieldsByName();
-    const auto it = fields.find(key);
-    if (it != fields.end()) {  // unknown keys are ignored
-      if (quoted != (it->second->type == FieldType::kString) ||
-          !FieldFromString(*row, *it->second, value)) {
-        *error = "bad value for \"" + key + "\"";
-        return false;
-      }
     }
     SkipWs(c);
     if (c.p < c.end && *c.p == ',') {
@@ -129,11 +128,39 @@ bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error)
       continue;
     }
     if (c.p < c.end && *c.p == '}') {
+      ++c.p;
       return true;
     }
     *error = "expected ',' or '}'";
     return false;
   }
+}
+
+// True when only whitespace is left.
+bool AtEnd(Cursor& c) {
+  SkipWs(c);
+  return c.p == c.end;
+}
+
+}  // namespace
+
+bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error) {
+  Cursor c{line.data(), line.data() + line.size()};
+  const auto set = [row](const std::string& key, const std::string& value, bool quoted) {
+    const auto& fields = FieldsByName();
+    const auto it = fields.find(key);
+    return it == fields.end() ||  // unknown keys are ignored
+           (quoted == (it->second->type == FieldType::kString) &&
+            FieldFromString(*row, *it->second, value));
+  };
+  if (!ScanObject(c, error, set)) {
+    return false;
+  }
+  if (!AtEnd(c)) {
+    *error = "unexpected text after '}'";
+    return false;
+  }
+  return true;
 }
 
 std::vector<ResultRow> LoadJsonlFile(const std::string& path,
@@ -186,150 +213,7 @@ std::vector<ResultRow> LoadResults(const std::string& path,
   return rows;
 }
 
-std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows) {
-  std::vector<AggregateRow> aggregates;
-  std::map<std::string, std::size_t> index;
-  for (const ResultRow& row : rows) {
-    const std::string key =
-        row.bench + "|" + row.machine + "|" + row.workload + "|" + row.policy + "|" +
-        row.variant;
-    const auto it = index.find(key);
-    std::size_t slot;
-    if (it == index.end()) {
-      slot = aggregates.size();
-      index[key] = slot;
-      AggregateRow aggregate;
-      aggregate.bench = row.bench;
-      aggregate.machine = row.machine;
-      aggregate.workload = row.workload;
-      aggregate.policy = row.policy;
-      aggregate.variant = row.variant;
-      aggregate.min_improvement_pct = row.improvement_pct;
-      aggregate.max_improvement_pct = row.improvement_pct;
-      aggregates.push_back(aggregate);
-    } else {
-      slot = it->second;
-    }
-    AggregateRow& agg = aggregates[slot];
-    ++agg.runs;
-    agg.mean_improvement_pct += row.improvement_pct;
-    agg.min_improvement_pct = std::min(agg.min_improvement_pct, row.improvement_pct);
-    agg.max_improvement_pct = std::max(agg.max_improvement_pct, row.improvement_pct);
-    agg.runtime_ms += row.runtime_ms;
-    agg.lar_pct += row.lar_pct;
-    agg.imbalance_pct += row.imbalance_pct;
-    agg.pamup_pct += row.pamup_pct;
-    agg.nhp += row.nhp;
-    agg.psp_pct += row.psp_pct;
-    agg.walk_l2_miss_pct += row.walk_l2_miss_pct;
-    agg.steady_fault_share_pct += row.steady_fault_share_pct;
-    agg.max_fault_ms += row.max_fault_ms;
-    agg.thp_coverage_pct += row.thp_coverage_pct;
-    agg.overhead_pct += row.overhead_pct;
-    agg.migrations += static_cast<double>(row.migrations);
-    agg.splits += static_cast<double>(row.splits);
-    agg.promotions += static_cast<double>(row.promotions);
-    agg.thp_fallback_faults += static_cast<double>(row.thp_fallback_faults);
-    agg.buddy_alloc_failures += static_cast<double>(row.buddy_alloc_failures);
-    agg.frag_index_pct += row.frag_index_pct;
-  }
-  for (AggregateRow& agg : aggregates) {
-    const double inv = agg.runs > 0 ? 1.0 / agg.runs : 0.0;
-    agg.mean_improvement_pct *= inv;
-    agg.runtime_ms *= inv;
-    agg.lar_pct *= inv;
-    agg.imbalance_pct *= inv;
-    agg.pamup_pct *= inv;
-    agg.nhp *= inv;
-    agg.psp_pct *= inv;
-    agg.walk_l2_miss_pct *= inv;
-    agg.steady_fault_share_pct *= inv;
-    agg.max_fault_ms *= inv;
-    agg.thp_coverage_pct *= inv;
-    agg.overhead_pct *= inv;
-    agg.migrations *= inv;
-    agg.splits *= inv;
-    agg.promotions *= inv;
-    agg.thp_fallback_faults *= inv;
-    agg.buddy_alloc_failures *= inv;
-    agg.frag_index_pct *= inv;
-  }
-  return aggregates;
-}
-
 namespace {
-
-// AggregateRow serialization schema shared by the JSON/CSV writers.
-struct AggregateField {
-  const char* name;
-  bool is_string;
-  std::string (*get)(const AggregateRow&);
-};
-
-std::string FromInt(int value) { return std::to_string(value); }
-
-const std::vector<AggregateField>& AggregateSchema() {
-  static const std::vector<AggregateField> schema = {
-      {"bench", true, [](const AggregateRow& a) { return a.bench; }},
-      {"machine", true, [](const AggregateRow& a) { return a.machine; }},
-      {"workload", true, [](const AggregateRow& a) { return a.workload; }},
-      {"policy", true, [](const AggregateRow& a) { return a.policy; }},
-      {"variant", true, [](const AggregateRow& a) { return a.variant; }},
-      {"runs", false, [](const AggregateRow& a) { return FromInt(a.runs); }},
-      {"mean_improvement_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.mean_improvement_pct); }},
-      {"min_improvement_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.min_improvement_pct); }},
-      {"max_improvement_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.max_improvement_pct); }},
-      {"runtime_ms", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.runtime_ms); }},
-      {"lar_pct", false, [](const AggregateRow& a) { return CanonicalDouble(a.lar_pct); }},
-      {"imbalance_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.imbalance_pct); }},
-      {"pamup_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.pamup_pct); }},
-      {"nhp", false, [](const AggregateRow& a) { return CanonicalDouble(a.nhp); }},
-      {"psp_pct", false, [](const AggregateRow& a) { return CanonicalDouble(a.psp_pct); }},
-      {"walk_l2_miss_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.walk_l2_miss_pct); }},
-      {"steady_fault_share_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.steady_fault_share_pct); }},
-      {"max_fault_ms", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.max_fault_ms); }},
-      {"thp_coverage_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.thp_coverage_pct); }},
-      {"overhead_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.overhead_pct); }},
-      {"migrations", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.migrations); }},
-      {"splits", false, [](const AggregateRow& a) { return CanonicalDouble(a.splits); }},
-      {"promotions", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.promotions); }},
-      {"thp_fallback_faults", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.thp_fallback_faults); }},
-      {"buddy_alloc_failures", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.buddy_alloc_failures); }},
-      {"frag_index_pct", false,
-       [](const AggregateRow& a) { return CanonicalDouble(a.frag_index_pct); }},
-  };
-  return schema;
-}
-
-void WriteAggregateObject(std::ostream& out, const AggregateRow& aggregate,
-                          const char* indent) {
-  out << indent << '{';
-  const auto& schema = AggregateSchema();
-  for (std::size_t f = 0; f < schema.size(); ++f) {
-    out << (f == 0 ? "" : ",") << '"' << schema[f].name << "\":";
-    if (schema[f].is_string) {
-      out << '"' << JsonEscape(schema[f].get(aggregate)) << '"';
-    } else {
-      out << schema[f].get(aggregate);
-    }
-  }
-  out << '}';
-}
 
 std::string Pct1(double value) {
   char buf[32];
@@ -341,6 +225,166 @@ std::string Num1(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", value);
   return buf;
+}
+
+// How an AggregateRow field folds the rows of its column.
+enum class Fold { kKey, kCount, kMean, kMin, kMax };
+
+// One AggregateRow field. Its name is the key in every output format and in
+// the summary parser; `source` is the ResultRow field it folds. Exactly one
+// member pointer is non-null: `text` for kKey, `count` for kCount, `value`
+// for the rest.
+struct AggregateField {
+  const char* name;
+  Fold fold;
+  std::string AggregateRow::* text = nullptr;
+  int AggregateRow::* count = nullptr;
+  double AggregateRow::* value = nullptr;
+  const ResultField* source = nullptr;
+  // Column header in PrintAggregates' metrics table (nullptr = not shown)
+  // and, for folded values, the number format there.
+  const char* md_header = nullptr;
+  std::string (*md_format)(double) = nullptr;
+};
+
+AggregateField Key(const char* name, std::string AggregateRow::* member,
+                   const char* md_header = nullptr) {
+  AggregateField field{name, Fold::kKey};
+  field.text = member;
+  field.source = FieldsByName().at(name);
+  field.md_header = md_header;
+  return field;
+}
+
+AggregateField Count(const char* name, int AggregateRow::* member, const char* md_header) {
+  AggregateField field{name, Fold::kCount};
+  field.count = member;
+  field.md_header = md_header;
+  return field;
+}
+
+AggregateField Stat(Fold fold, const char* name, double AggregateRow::* member,
+                    const char* source, const char* md_header = nullptr,
+                    std::string (*md_format)(double) = Num1) {
+  AggregateField field{name, fold};
+  field.value = member;
+  field.source = FieldsByName().at(source);
+  field.md_header = md_header;
+  field.md_format = md_format;
+  return field;
+}
+
+// The seed mean of the ResultRow field of the same name.
+AggregateField Mean(const char* name, double AggregateRow::* member,
+                    const char* md_header = nullptr) {
+  return Stat(Fold::kMean, name, member, name, md_header);
+}
+
+// The AggregateRow schema, in output order: the one list of its fields that
+// Aggregate, the writers, the summary parser and the markdown table share.
+const std::vector<AggregateField>& AggregateFields() {
+  static const std::vector<AggregateField> fields = {
+      Key("bench", &AggregateRow::bench),
+      Key("machine", &AggregateRow::machine, "machine"),
+      Key("workload", &AggregateRow::workload, "workload"),
+      Key("policy", &AggregateRow::policy, "policy"),
+      Key("variant", &AggregateRow::variant, "variant"),
+      Count("runs", &AggregateRow::runs, "runs"),
+      Stat(Fold::kMean, "mean_improvement_pct", &AggregateRow::mean_improvement_pct,
+           "improvement_pct", "improv", Pct1),
+      Stat(Fold::kMin, "min_improvement_pct", &AggregateRow::min_improvement_pct,
+           "improvement_pct"),
+      Stat(Fold::kMax, "max_improvement_pct", &AggregateRow::max_improvement_pct,
+           "improvement_pct"),
+      Mean("runtime_ms", &AggregateRow::runtime_ms),
+      Mean("lar_pct", &AggregateRow::lar_pct, "LAR%"),
+      Mean("imbalance_pct", &AggregateRow::imbalance_pct, "imbal%"),
+      Mean("pamup_pct", &AggregateRow::pamup_pct, "PAMUP%"),
+      Mean("nhp", &AggregateRow::nhp, "NHP"),
+      Mean("psp_pct", &AggregateRow::psp_pct, "PSP%"),
+      Mean("walk_l2_miss_pct", &AggregateRow::walk_l2_miss_pct, "walk%"),
+      Mean("steady_fault_share_pct", &AggregateRow::steady_fault_share_pct, "fault%"),
+      Mean("max_fault_ms", &AggregateRow::max_fault_ms),
+      Mean("thp_coverage_pct", &AggregateRow::thp_coverage_pct, "THPcov%"),
+      Mean("overhead_pct", &AggregateRow::overhead_pct, "ovh%"),
+      Mean("migrations", &AggregateRow::migrations),
+      Mean("splits", &AggregateRow::splits),
+      Mean("promotions", &AggregateRow::promotions),
+      Mean("thp_fallback_faults", &AggregateRow::thp_fallback_faults),
+      Mean("buddy_alloc_failures", &AggregateRow::buddy_alloc_failures),
+      Mean("frag_index_pct", &AggregateRow::frag_index_pct),
+  };
+  return fields;
+}
+
+const AggregateField* FindAggregateField(const std::string& name) {
+  const auto& fields = AggregateFields();
+  const auto it = std::find_if(fields.begin(), fields.end(),
+                               [&name](const AggregateField& field) { return name == field.name; });
+  return it == fields.end() ? nullptr : &*it;
+}
+
+// A numeric ResultRow field as a double, the type of every folded value.
+double NumberOf(const ResultRow& row, const ResultField& field) {
+  switch (field.type) {
+    case FieldType::kInt:
+      return row.*(field.i);
+    case FieldType::kUint:
+      return static_cast<double>(row.*(field.u));
+    case FieldType::kDouble:
+      return row.*(field.d);
+    case FieldType::kString:
+    case FieldType::kBool:
+      break;
+  }
+  return 0.0;
+}
+
+// Canonical text of a field: strings raw (the writer escapes them), counts
+// in decimal, folded values in the shortest round-trip form.
+std::string FieldText(const AggregateRow& row, const AggregateField& field) {
+  if (field.fold == Fold::kKey) {
+    return row.*(field.text);
+  }
+  if (field.fold == Fold::kCount) {
+    return std::to_string(row.*(field.count));
+  }
+  return CanonicalDouble(row.*(field.value));
+}
+
+// Parses a summary value as strictly as FieldFromString parses a row value:
+// strings quoted, numbers the whole bare token. A column aggregates at
+// least one row, so `runs` must be positive.
+bool FieldFromText(AggregateRow& row, const AggregateField& field, const std::string& text,
+                   bool quoted) {
+  if (quoted != (field.fold == Fold::kKey)) {
+    return false;
+  }
+  if (field.fold == Fold::kKey) {
+    row.*(field.text) = text;
+    return true;
+  }
+  if (field.fold == Fold::kCount) {
+    return AssignParsed(ParseNumber(text, 1, std::numeric_limits<int>::max()),
+                        row.*(field.count));
+  }
+  return AssignParsed(ParseToken<double>(text), row.*(field.value));
+}
+
+void WriteAggregateObject(std::ostream& out, const AggregateRow& aggregate,
+                          const char* indent) {
+  out << indent << '{';
+  const char* separator = "";
+  for (const AggregateField& field : AggregateFields()) {
+    out << separator << '"' << field.name << "\":";
+    if (field.fold == Fold::kKey) {
+      out << '"' << JsonEscape(FieldText(aggregate, field)) << '"';
+    } else {
+      out << FieldText(aggregate, field);
+    }
+    separator = ",";
+  }
+  out << '}';
 }
 
 // First-appearance-order list of the distinct values `get` takes on `rows`.
@@ -356,6 +400,58 @@ std::vector<std::string> Distinct(const std::vector<AggregateRow>& rows, Get get
 }
 
 }  // namespace
+
+std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows) {
+  const auto& fields = AggregateFields();
+  std::vector<AggregateRow> aggregates;
+  std::map<std::vector<std::string>, std::size_t> index;  // column key -> slot
+  for (const ResultRow& row : rows) {
+    std::vector<std::string> key;
+    for (const AggregateField& field : fields) {
+      if (field.fold == Fold::kKey) {
+        key.push_back(row.*(field.source->s));
+      }
+    }
+    const auto [it, added] = index.emplace(std::move(key), aggregates.size());
+    if (added) {
+      aggregates.emplace_back();
+    }
+    AggregateRow& agg = aggregates[it->second];
+    // Sums accumulate in row order; a column's first row seeds its min/max.
+    for (const AggregateField& field : fields) {
+      switch (field.fold) {
+        case Fold::kKey:
+          agg.*(field.text) = row.*(field.source->s);
+          break;
+        case Fold::kCount:
+          ++(agg.*(field.count));
+          break;
+        case Fold::kMean:
+          agg.*(field.value) += NumberOf(row, *field.source);
+          break;
+        case Fold::kMin:
+          agg.*(field.value) = added ? NumberOf(row, *field.source)
+                                     : std::min(agg.*(field.value), NumberOf(row, *field.source));
+          break;
+        case Fold::kMax:
+          agg.*(field.value) = added ? NumberOf(row, *field.source)
+                                     : std::max(agg.*(field.value), NumberOf(row, *field.source));
+          break;
+      }
+    }
+  }
+  // Multiply by the reciprocal rather than divide: the seed-mean arithmetic
+  // every committed summary was written with.
+  for (AggregateRow& agg : aggregates) {
+    const double inv = 1.0 / agg.runs;
+    for (const AggregateField& field : fields) {
+      if (field.fold == Fold::kMean) {
+        agg.*(field.value) *= inv;
+      }
+    }
+  }
+  return aggregates;
+}
 
 void WriteSummaryJson(std::ostream& out, const std::vector<AggregateRow>& aggregates) {
   out << "{\n  \"schema\": \"numalp-bench-summary-v1\",\n  \"groups\": [\n";
@@ -373,111 +469,60 @@ bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* ou
     *error = "not a numalp-bench-summary-v1 document";
     return false;
   }
-  // One group object per line (WriteSummaryJson's shape); the same flat
-  // scanner the JSONL loader uses, with a field map for AggregateRow.
-  const auto set_field = [](AggregateRow& row, const std::string& key,
-                            const std::string& value) {
-    const auto num = [&value]() { return std::strtod(value.c_str(), nullptr); };
-    if (key == "bench") {
-      row.bench = value;
-    } else if (key == "machine") {
-      row.machine = value;
-    } else if (key == "workload") {
-      row.workload = value;
-    } else if (key == "policy") {
-      row.policy = value;
-    } else if (key == "variant") {
-      row.variant = value;
-    } else if (key == "runs") {
-      row.runs = static_cast<int>(num());
-    } else if (key == "mean_improvement_pct") {
-      row.mean_improvement_pct = num();
-    } else if (key == "min_improvement_pct") {
-      row.min_improvement_pct = num();
-    } else if (key == "max_improvement_pct") {
-      row.max_improvement_pct = num();
-    } else if (key == "runtime_ms") {
-      row.runtime_ms = num();
-    } else if (key == "lar_pct") {
-      row.lar_pct = num();
-    } else if (key == "imbalance_pct") {
-      row.imbalance_pct = num();
-    } else if (key == "pamup_pct") {
-      row.pamup_pct = num();
-    } else if (key == "nhp") {
-      row.nhp = num();
-    } else if (key == "psp_pct") {
-      row.psp_pct = num();
-    } else if (key == "walk_l2_miss_pct") {
-      row.walk_l2_miss_pct = num();
-    } else if (key == "steady_fault_share_pct") {
-      row.steady_fault_share_pct = num();
-    } else if (key == "max_fault_ms") {
-      row.max_fault_ms = num();
-    } else if (key == "thp_coverage_pct") {
-      row.thp_coverage_pct = num();
-    } else if (key == "overhead_pct") {
-      row.overhead_pct = num();
-    } else if (key == "migrations") {
-      row.migrations = num();
-    } else if (key == "splits") {
-      row.splits = num();
-    } else if (key == "promotions") {
-      row.promotions = num();
-    } else if (key == "thp_fallback_faults") {
-      row.thp_fallback_faults = num();
-    } else if (key == "buddy_alloc_failures") {
-      row.buddy_alloc_failures = num();
-    } else if (key == "frag_index_pct") {
-      row.frag_index_pct = num();
-    }  // unknown keys are ignored (schema growth)
-  };
-
+  // WriteSummaryJson's shape, line by line: the head, one group object per
+  // line (optionally followed by ','), the tail. Blank lines aside, any
+  // other line is an error, so a damaged group cannot silently drop out.
+  constexpr std::string_view kHead[] = {"{", "\"schema\": \"numalp-bench-summary-v1\",",
+                                        "\"groups\": ["};
+  constexpr std::size_t kHeadLines = std::size(kHead);
+  constexpr std::size_t kTailLines = 2;  // "]", "}"
+  std::vector<std::pair<int, std::string>> lines;  // (number, trimmed text)
   std::istringstream in(contents);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const std::size_t at = line.find_first_not_of(" \t\r");
-    if (at == std::string::npos || line[at] != '{' ||
-        line.find('}', at) == std::string::npos ||
-        line.find("\"schema\"", at) != std::string::npos) {
-      continue;  // document framing, not a group object
+  int number = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++number;
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first != std::string::npos) {
+      lines.emplace_back(number, line.substr(first, line.find_last_not_of(" \t\r") - first + 1));
     }
-    Cursor c{line.data() + at, line.data() + line.size()};
-    ++c.p;  // '{'
+  }
+  const auto fail = [error](int line, const std::string& message) {
+    *error = "line " + std::to_string(line) + ": " + message;
+    return false;
+  };
+  if (lines.size() < kHeadLines + kTailLines) {
+    *error = "truncated document";
+    return false;
+  }
+  for (std::size_t i = 0; i < kHeadLines; ++i) {
+    if (lines[i].second != kHead[i]) {
+      return fail(lines[i].first, "expected " + std::string(kHead[i]));
+    }
+  }
+  if (lines[lines.size() - 2].second != "]" || lines.back().second != "}") {
+    return fail(lines.back().first, "expected the closing ] and }");
+  }
+  for (std::size_t i = kHeadLines; i + kTailLines < lines.size(); ++i) {
+    const auto& [line_number, line] = lines[i];
+    Cursor c{line.data(), line.data() + line.size()};
     AggregateRow row;
-    while (true) {
-      SkipWs(c);
-      std::string key;
-      if (!ParseQuoted(c, &key)) {
-        *error = "line " + std::to_string(line_number) + ": expected a quoted key";
-        return false;
-      }
-      SkipWs(c);
-      if (c.p >= c.end || *c.p != ':') {
-        *error = "line " + std::to_string(line_number) + ": expected ':' after \"" + key + "\"";
-        return false;
-      }
+    std::string scan_error;
+    const auto set = [&row](const std::string& key, const std::string& value, bool quoted) {
+      const AggregateField* field = FindAggregateField(key);
+      return field == nullptr ||  // unknown keys are ignored (schema growth)
+             FieldFromText(row, *field, value, quoted);
+    };
+    if (!ScanObject(c, &scan_error, set)) {
+      return fail(line_number, scan_error);
+    }
+    if (c.p < c.end && *c.p == ',') {
       ++c.p;
-      SkipWs(c);
-      std::string value;
-      const bool quoted = c.p < c.end && *c.p == '"';
-      if (quoted ? !ParseQuoted(c, &value) : !ParseBareToken(c, &value)) {
-        *error = "line " + std::to_string(line_number) + ": bad value for \"" + key + "\"";
-        return false;
-      }
-      set_field(row, key, value);
-      SkipWs(c);
-      if (c.p < c.end && *c.p == ',') {
-        ++c.p;
-        continue;
-      }
-      if (c.p < c.end && *c.p == '}') {
-        break;
-      }
-      *error = "line " + std::to_string(line_number) + ": expected ',' or '}'";
-      return false;
+    }
+    if (!AtEnd(c)) {
+      return fail(line_number, "unexpected text after '}'");
+    }
+    if (row.runs == 0) {
+      return fail(line_number, "missing \"runs\"");
     }
     out->push_back(std::move(row));
   }
@@ -489,16 +534,15 @@ bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* ou
 }
 
 void WriteAggregatesCsv(std::ostream& out, const std::vector<AggregateRow>& aggregates) {
-  const auto& schema = AggregateSchema();
-  for (std::size_t f = 0; f < schema.size(); ++f) {
-    out << (f == 0 ? "" : ",") << schema[f].name;
+  const auto& fields = AggregateFields();
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    out << (f == 0 ? "" : ",") << fields[f].name;
   }
   out << '\n';
   for (const AggregateRow& aggregate : aggregates) {
-    for (std::size_t f = 0; f < schema.size(); ++f) {
-      out << (f == 0 ? "" : ",")
-          << (schema[f].is_string ? CsvEscape(schema[f].get(aggregate))
-                                  : schema[f].get(aggregate));
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      const std::string text = FieldText(aggregate, fields[f]);
+      out << (f == 0 ? "" : ",") << (fields[f].fold == Fold::kKey ? CsvEscape(text) : text);
     }
     out << '\n';
   }
@@ -560,17 +604,21 @@ void PrintAggregates(std::ostream& out, const std::vector<AggregateRow>& aggrega
 
     // Per-column metrics: the numbers behind Tables 1-3.
     out << "metrics (seed means)\n";
-    const std::vector<std::string> header = {"machine", "workload",  "policy", "variant",
-                                             "runs",    "improv",    "LAR%",   "imbal%",
-                                             "PAMUP%",  "NHP",       "PSP%",   "walk%",
-                                             "fault%",  "THPcov%",   "ovh%"};
+    std::vector<std::string> header;
+    for (const AggregateField& field : AggregateFields()) {
+      if (field.md_header != nullptr) {
+        header.push_back(field.md_header);
+      }
+    }
     std::vector<std::vector<std::string>> table;
     for (const AggregateRow& a : of_bench) {
-      table.push_back({a.machine, a.workload, a.policy, a.variant, FromInt(a.runs),
-                       Pct1(a.mean_improvement_pct), Num1(a.lar_pct), Num1(a.imbalance_pct),
-                       Num1(a.pamup_pct), Num1(a.nhp), Num1(a.psp_pct),
-                       Num1(a.walk_l2_miss_pct), Num1(a.steady_fault_share_pct),
-                       Num1(a.thp_coverage_pct), Num1(a.overhead_pct)});
+      std::vector<std::string>& cells = table.emplace_back();
+      for (const AggregateField& field : AggregateFields()) {
+        if (field.md_header != nullptr) {
+          cells.push_back(field.value != nullptr ? field.md_format(a.*(field.value))
+                                                 : FieldText(a, field));
+        }
+      }
     }
     PrintAlignedTable(out, header, table);
     out << '\n';

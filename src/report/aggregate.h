@@ -1,11 +1,10 @@
 // Aggregation for numalp_report: loads JSONL rows written by the sinks
 // (sink.h — the parser consumes the same ResultSchema() the serializer
 // does), groups them by results column (bench, machine, workload, policy,
-// variant), and averages over seeds with the same ascending-order
-// accumulate-then-divide arithmetic GridResults::Summarize uses
-// (DESIGN.md Sections 5-6). The aggregates feed the figure/table renderer,
-// the committable bench_summary.json (BENCH_*.json), and the qualitative
-// paper checks (checks.h).
+// variant), and averages over seeds: the one place a column's seed mean is
+// computed (DESIGN.md Sections 5-6). The aggregates feed the figure/table
+// renderer, the committable bench_summary.json (BENCH_*.json), and the
+// qualitative paper checks (checks.h).
 #ifndef NUMALP_SRC_REPORT_AGGREGATE_H_
 #define NUMALP_SRC_REPORT_AGGREGATE_H_
 
@@ -19,8 +18,8 @@ namespace numalp::report {
 
 // Parses one JSONL line (a flat object of strings, numbers and booleans)
 // into `row`. Unknown keys are ignored (schema growth stays readable);
-// missing keys keep their defaults. Returns false with *error set on
-// malformed input.
+// missing keys keep their defaults. A known key's value must be the whole
+// token of its type. Returns false with *error set on malformed input.
 bool ParseJsonlLine(const std::string& line, ResultRow* row, std::string* error);
 
 struct ParseIssue {
@@ -72,7 +71,9 @@ struct AggregateRow {
 };
 
 // Groups rows by column. Column order is first appearance in `rows`, which
-// for sink-written files is grid-coordinate order.
+// for sink-written files is grid-coordinate order. Each mean is the sum in
+// row order (ascending seed) times 1/runs — not a division — so committed
+// summaries reproduce to the last bit.
 std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows);
 
 // The committable summary artifact (BENCH_*.json shape): a versioned JSON
@@ -80,9 +81,12 @@ std::vector<AggregateRow> Aggregate(const std::vector<ResultRow>& rows);
 void WriteSummaryJson(std::ostream& out, const std::vector<AggregateRow>& aggregates);
 
 // Parses a summary document WriteSummaryJson produced back into aggregate
-// groups (the fields the checks consume; unknown keys are ignored so the
-// schema can grow). Lets `numalp_report --from-summary` assert the paper
-// checks against a committed BENCH_*.json without re-running the grids.
+// groups (unknown keys are ignored so the schema can grow). Values are read
+// as strictly as ParseJsonlLine reads rows, `runs` must be positive, and
+// the document must keep WriteSummaryJson's line framing; anything else
+// returns false with *error naming the line (and the key, for a bad value).
+// Lets `numalp_report --from-summary` assert the paper checks against a
+// committed BENCH_*.json without re-running the grids.
 bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* out,
                       std::string* error);
 

@@ -9,14 +9,13 @@
 #include <string_view>
 
 #include "src/common/parse.h"
+#include "src/core/runner.h"
 #include "src/report/sink.h"
 
 namespace numalp::report {
 
 namespace {
 
-// Upper bound of --jobs.
-constexpr int kMaxThreads = 1024;
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 void PrintUsage(std::FILE* out, const ToolInfo& info) {
@@ -89,6 +88,9 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
   };
   try {
     options.sim = WithEnvOverrides(SimConfig{});
+    // GridReport's runner reads its own knobs; reading them here as well
+    // makes a bad one exit 2 before any work starts.
+    ExperimentRunner{1};
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", info.name, e.what());
     fail();
@@ -123,7 +125,7 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
     } else if (arg == "--out-dir") {
       options.out_dir = next();
     } else if (arg == "--jobs") {
-      options.jobs = number(1, kMaxThreads);
+      options.jobs = number(1, kMaxJobs);
     } else if (arg == "--seed") {
       options.sim.seed = number(std::uint64_t{0}, kMaxU64);
     } else if (arg == "--epochs") {
@@ -160,7 +162,7 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
     } else if (arg == "--cell-deadline-ms") {
       options.cell_deadline_ms = number(0LL, std::numeric_limits<long long>::max());
     } else if (arg == "--cell-retries") {
-      options.cell_retries = number(0, 1000);
+      options.cell_retries = number(0, kMaxCellRetries);
     } else {
       bool handled = false;
       for (const ExtraFlag& extra : extras) {

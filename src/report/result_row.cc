@@ -1,7 +1,8 @@
 #include "src/report/result_row.h"
 
 #include <charconv>
-#include <cstdlib>
+
+#include "src/common/parse.h"
 
 namespace numalp::report {
 
@@ -167,33 +168,12 @@ bool FieldFromString(ResultRow& row, const ResultField& field, const std::string
         return true;
       }
       return false;
-    case FieldType::kInt: {
-      int value = 0;
-      const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
-      if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
-        return false;
-      }
-      row.*(field.i) = value;
-      return true;
-    }
-    case FieldType::kUint: {
-      std::uint64_t value = 0;
-      const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
-      if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
-        return false;
-      }
-      row.*(field.u) = value;
-      return true;
-    }
-    case FieldType::kDouble: {
-      double value = 0.0;
-      const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
-      if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
-        return false;
-      }
-      row.*(field.d) = value;
-      return true;
-    }
+    case FieldType::kInt:
+      return AssignParsed(ParseToken<int>(text), row.*(field.i));
+    case FieldType::kUint:
+      return AssignParsed(ParseToken<std::uint64_t>(text), row.*(field.u));
+    case FieldType::kDouble:
+      return AssignParsed(ParseToken<double>(text), row.*(field.d));
   }
   return false;
 }

@@ -13,7 +13,9 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/carrefour/carrefour.h"
@@ -358,6 +360,31 @@ TEST(RunnerResilienceTest, EnvKnobsConfigureWatchdogAndRetries) {
   ExperimentRunner plain(1);
   EXPECT_EQ(plain.cell_deadline_ms(), 0);  // watchdog off by default
   EXPECT_EQ(plain.max_cell_retries(), 1);
+  ::setenv("NUMALP_JOBS", "3", 1);
+  EXPECT_EQ(ExperimentRunner(0).jobs(), 3);
+  EXPECT_EQ(ExperimentRunner(2).jobs(), 2);  // an explicit count wins
+  ::unsetenv("NUMALP_JOBS");
+}
+
+// The runner's knobs take their flags' ranges; anything else throws an
+// error naming the variable (ParseToolArgs turns it into exit status 2),
+// even when an explicit worker count makes NUMALP_JOBS moot.
+TEST(RunnerResilienceTest, BadEnvKnobsThrowNamingTheVariable) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"NUMALP_JOBS", "abc"},          {"NUMALP_JOBS", "0"},
+      {"NUMALP_JOBS", "1025"},         {"NUMALP_CELL_RETRIES", "-2"},
+      {"NUMALP_CELL_RETRIES", "1001"}, {"NUMALP_CELL_DEADLINE_MS", "5x"},
+      {"NUMALP_CELL_DEADLINE_MS", ""}};
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    try {
+      ExperimentRunner runner(1);
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    ::unsetenv(name);
+  }
 }
 
 // --- Checkpoint + resume ----------------------------------------------------

@@ -27,7 +27,10 @@ set(bad_env
     "NUMALP_MAX_EPOCHS=abc"
     "NUMALP_FAULT_ALLOC_PCT=250"
     "NUMALP_PROFILE_MODE=bogus"
-    "NUMALP_FAULT_PROFILE=bogus")
+    "NUMALP_FAULT_PROFILE=bogus"
+    "NUMALP_JOBS=abc"
+    "NUMALP_CELL_RETRIES=-2"
+    "NUMALP_CELL_DEADLINE_MS=5x")
 foreach(shown IN LISTS bad_env)
   execute_process(COMMAND ${CMAKE_COMMAND} -E env ${shown}
                           ${NUMALP_RUN} --workload CG.D --machine A --epochs 2 --accesses 64
@@ -47,6 +50,7 @@ endforeach()
 # Control: well-formed values of the same flags and knobs still run.
 execute_process(COMMAND ${CMAKE_COMMAND} -E env NUMALP_MAX_EPOCHS=3 NUMALP_FAULT_ALLOC_PCT=25
                         NUMALP_PROFILE_MODE=sketch NUMALP_FAULT_PROFILE=frag
+                        NUMALP_JOBS=2 NUMALP_CELL_RETRIES=0 NUMALP_CELL_DEADLINE_MS=600000
                         ${NUMALP_RUN} --workload CG.D --machine A --epochs 2 --seed 7
                         --accesses 64 --fault-alloc-pct 25
                 RESULT_VARIABLE status

@@ -2,13 +2,17 @@
 // the single source of truth (serialize -> parse -> serialize is the
 // identity), CSV/JSONL output matches golden strings, GridReport output is
 // byte-identical across jobs values, aggregation reproduces the seed-mean
-// arithmetic, and the qualitative paper checks pass/fail/skip correctly.
+// arithmetic, summaries round-trip and reject malformed input, and the
+// qualitative paper checks pass/fail/skip correctly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <sstream>
 
 #include "src/core/config.h"
@@ -323,6 +327,65 @@ TEST(AggregateTest, MeansMinMaxOverSeeds) {
   EXPECT_EQ(aggregates[0].max_improvement_pct, -40.0);
 }
 
+// Seed means are the ordered row sum times the reciprocal of the run count
+// (not a division), bit for bit — the arithmetic every committed summary
+// was written with. Checked on the rows of a real 3-seed grid.
+TEST(AggregateTest, MeansAreOrderedSumTimesReciprocal) {
+  std::ostringstream stream;
+  ExperimentGrid grid;
+  grid.machines = {Topology::Tiny()};
+  grid.workloads = {BenchmarkId::kCG_D};
+  grid.policies = {PolicyKind::kLinux4K, PolicyKind::kThp};
+  grid.num_seeds = 3;
+  grid.sim = TinySim();
+  {
+    GridReport report(std::make_unique<JsonlSink>(stream), "test", 4);
+    report.Run(grid);
+  }
+  std::vector<ResultRow> rows;
+  std::istringstream lines(stream.str());
+  for (std::string line; std::getline(lines, line);) {
+    std::string error;
+    ASSERT_TRUE(ParseJsonlLine(line, &rows.emplace_back(), &error)) << error;
+  }
+  const std::vector<AggregateRow> aggregates = Aggregate(rows);
+  ASSERT_EQ(aggregates.size(), 2u);
+  const AggregateRow& baseline = aggregates[0];
+  const AggregateRow& thp = aggregates[1];
+  ASSERT_EQ(thp.policy, "THP");
+  ASSERT_EQ(thp.runs, 3);
+  EXPECT_EQ(baseline.mean_improvement_pct, 0.0);  // each baseline against itself
+
+  double improvement = 0.0, lar = 0.0, nhp = 0.0, migrations = 0.0, low = 1e300, high = -1e300;
+  for (const ResultRow& row : rows) {
+    if (row.policy != "THP") {
+      continue;
+    }
+    improvement += row.improvement_pct;
+    lar += row.lar_pct;
+    nhp += row.nhp;
+    migrations += static_cast<double>(row.migrations);
+    low = std::min(low, row.improvement_pct);
+    high = std::max(high, row.improvement_pct);
+  }
+  const double inv = 1.0 / 3;
+  EXPECT_EQ(thp.mean_improvement_pct, improvement * inv);
+  EXPECT_EQ(thp.lar_pct, lar * inv);
+  EXPECT_EQ(thp.nhp, nhp * inv);
+  EXPECT_EQ(thp.migrations, migrations * inv);
+  EXPECT_EQ(thp.min_improvement_pct, low);
+  EXPECT_EQ(thp.max_improvement_pct, high);
+  EXPECT_GT(thp.lar_pct, 0.0);
+
+  // Values on which the shortcuts differ: 5.0 / 3 != 5.0 * (1.0 / 3), and
+  // summing {1e16, 1, -1e16} in any other order keeps the 1.
+  const AggregateRow mean = Aggregate({Row("m", "w", "p", 2.0, 1e16), Row("m", "w", "p", 1.0, 1.0),
+                                       Row("m", "w", "p", 2.0, -1e16)})[0];
+  EXPECT_EQ(mean.mean_improvement_pct, 5.0 * inv);
+  EXPECT_NE(mean.mean_improvement_pct, 5.0 / 3);
+  EXPECT_EQ(mean.lar_pct, 0.0);
+}
+
 TEST(AggregateTest, VariantsAreSeparateColumns) {
   const std::vector<ResultRow> rows = {Row("machineB", "CG.D", "THP", -40.0, 50.0, "x=1"),
                                        Row("machineB", "CG.D", "THP", -46.0, 50.0, "x=2")};
@@ -422,6 +485,168 @@ TEST(ChecksTest, SummaryRoundTripEvaluatesIdentically) {
 
   std::vector<AggregateRow> rejected;
   EXPECT_FALSE(ParseSummaryJson("{\"schema\":\"something-else\"}", &rejected, &error));
+}
+
+// Every AggregateRow field set to a value unlike its default, strings
+// carrying the characters the writers escape.
+AggregateRow FullAggregate() {
+  AggregateRow a;
+  a.bench = "fig\"1\\";
+  a.machine = "machine,B";
+  a.workload = "CG.D\tx";
+  a.policy = "THP\nnext";
+  a.variant = "ibs=1/64";
+  a.runs = 7;
+  a.mean_improvement_pct = -43.25;
+  a.min_improvement_pct = -61.728394500000001;
+  a.max_improvement_pct = 1e-12;
+  a.runtime_ms = 1.0 / 3.0;
+  a.lar_pct = 36.5;
+  a.imbalance_pct = 59.125;
+  a.pamup_pct = 8.0625;
+  a.nhp = 2.5;
+  a.psp_pct = 34.1;
+  a.walk_l2_miss_pct = 0.1;
+  a.steady_fault_share_pct = 1.5;
+  a.max_fault_ms = 2.75;
+  a.thp_coverage_pct = 99.5;
+  a.overhead_pct = 0.79;
+  a.migrations = 1048.5;
+  a.splits = 4.25;
+  a.promotions = 1.75;
+  a.thp_fallback_faults = 9.5;
+  a.buddy_alloc_failures = 11.5;
+  a.frag_index_pct = 37.5;
+  return a;
+}
+
+std::string SummaryText(const std::vector<AggregateRow>& aggregates) {
+  std::ostringstream out;
+  WriteSummaryJson(out, aggregates);
+  return out.str();
+}
+
+std::string CsvText(const std::vector<AggregateRow>& aggregates) {
+  std::ostringstream out;
+  WriteAggregatesCsv(out, aggregates);
+  return out.str();
+}
+
+TEST(SummaryJsonTest, WriteParseWriteIsByteIdenticalOverEveryField) {
+  const std::vector<AggregateRow> full = {FullAggregate()};
+  const std::string written = SummaryText(full);
+  std::vector<AggregateRow> parsed;
+  std::string error;
+  ASSERT_TRUE(ParseSummaryJson(written, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(SummaryText(parsed), written);
+  // The CSV writer prints every field too: 26 columns, equal values.
+  EXPECT_EQ(CsvText(parsed), CsvText(full));
+  const std::string header = CsvText({});
+  EXPECT_EQ(std::count(header.begin(), header.end(), ','), 25);
+  EXPECT_EQ(parsed[0].policy, "THP\nnext");
+  EXPECT_EQ(parsed[0].runtime_ms, 1.0 / 3.0);
+}
+
+// A malformed value is an error naming the line and the key, not a group
+// read as zero runs and silently dropped from the checks.
+TEST(SummaryJsonTest, RejectsMalformedValuesNamingLineAndKey) {
+  const std::string written = SummaryText({FullAggregate(), FullAggregate()});
+  const auto expect_rejected = [](const std::string& text, const std::string& message) {
+    std::vector<AggregateRow> parsed;
+    std::string error;
+    EXPECT_FALSE(ParseSummaryJson(text, &parsed, &error)) << message;
+    EXPECT_EQ(error, message);
+  };
+  const auto replace_second = [&written](const std::string& from, const std::string& to) {
+    std::string text = written;
+    const std::size_t at = text.find(from, text.find(from) + 1);
+    return text.replace(at, from.size(), to);
+  };
+  expect_rejected(replace_second("\"runs\":7", "\"runs\":abc"), "line 5: bad value for \"runs\"");
+  expect_rejected(replace_second("\"lar_pct\":36.5", "\"lar_pct\":41.5zz"),
+                  "line 5: bad value for \"lar_pct\"");
+  expect_rejected(replace_second("\"runs\":7", "\"runs\":0"), "line 5: bad value for \"runs\"");
+  expect_rejected(replace_second("\"runs\":7,", ""), "line 5: missing \"runs\"");
+  expect_rejected(replace_second("\"runs\":7", "\"runs\":\"7\""), "line 5: bad value for \"runs\"");
+  expect_rejected(replace_second("\"policy\":\"THP\\nnext\"", "\"policy\":3"),
+                  "line 5: bad value for \"policy\"");
+  expect_rejected(replace_second("}", "} x"), "line 5: unexpected text after '}'");
+  // Truncated at a line boundary and inside the last group.
+  expect_rejected(written.substr(0, written.size() - 6), "line 5: expected the closing ] and }");
+  expect_rejected(written.substr(0, written.find("\"bench\"", written.find("\"bench\"") + 1)),
+                  "line 5: expected the closing ] and }");
+}
+
+// Seeded corruption of a committed summary and of a JSONL row: bit flips,
+// truncations and splices, a fixed budget of each. The readers take
+// untrusted files, so no mutant may crash them, and whatever they accept
+// must be a fixed point: parse -> write -> parse -> write changes nothing.
+std::string Mutate(const std::string& input, int kind, std::mt19937_64& rng) {
+  std::string text = input;
+  const auto at = [&rng](std::size_t size) {
+    return std::uniform_int_distribution<std::size_t>(0, size)(rng);
+  };
+  if (kind == 0) {  // flip one to three bits
+    for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0 && !text.empty(); --flips) {
+      text[at(text.size() - 1)] ^= static_cast<char>(1 << (rng() % 8));
+    }
+  } else if (kind == 1) {  // truncate
+    text.resize(at(text.size()));
+  } else {  // splice a copied span in at another position
+    const std::size_t from = at(text.size());
+    const std::string span = text.substr(from, at(std::min<std::size_t>(64, text.size() - from)));
+    text.insert(at(text.size()), span);
+  }
+  return text;
+}
+
+TEST(ParserMutationTest, MutantsAreRejectedOrRoundTrip) {
+  constexpr int kMutantsPerKind = 300;
+  std::ifstream in(std::string(NUMALP_SOURCE_DIR) + "/BENCH_trace.json");
+  ASSERT_TRUE(in);
+  const std::string summary((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  std::ostringstream row_out;
+  JsonlSink(row_out).Write(GoldenRow());
+  const std::string row_line = row_out.str().substr(0, row_out.str().size() - 1);
+
+  std::mt19937_64 rng(20140415);
+  int accepted = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutantsPerKind; ++i) {
+      const std::string mutant = Mutate(summary, kind, rng);
+      std::vector<AggregateRow> parsed;
+      std::string error;
+      if (!ParseSummaryJson(mutant, &parsed, &error)) {
+        EXPECT_FALSE(error.empty());
+        continue;
+      }
+      ++accepted;
+      const std::string first = SummaryText(parsed);
+      ASSERT_TRUE(ParseSummaryJson(first, &parsed, &error)) << error;
+      ASSERT_EQ(SummaryText(parsed), first) << "kind " << kind << " mutant " << i;
+    }
+    for (int i = 0; i < kMutantsPerKind; ++i) {
+      const std::string mutant = Mutate(row_line, kind, rng);
+      ResultRow row;
+      std::string error;
+      if (!ParseJsonlLine(mutant, &row, &error)) {
+        EXPECT_FALSE(error.empty());
+        continue;
+      }
+      ++accepted;
+      std::ostringstream first;
+      JsonlSink(first).Write(row);
+      ResultRow again;
+      ASSERT_TRUE(ParseJsonlLine(first.str().substr(0, first.str().size() - 1), &again, &error))
+          << error;
+      std::ostringstream second;
+      JsonlSink(second).Write(again);
+      ASSERT_EQ(second.str(), first.str()) << "kind " << kind << " mutant " << i;
+    }
+  }
+  EXPECT_GT(accepted, 0);  // some mutants (e.g. digit flips) stay well-formed
 }
 
 TEST(ChecksTest, FailWhenDataContradictsPaper) {
