@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -23,9 +22,8 @@ ExperimentRunner::ExperimentRunner(int jobs) {
     jobs = env_jobs.value_or(static_cast<int>(std::thread::hardware_concurrency()));
   }
   jobs_ = std::max(1, jobs);
-  cell_deadline_ms_ = EnvNumber("NUMALP_CELL_DEADLINE_MS", std::int64_t{0},
-                                std::numeric_limits<std::int64_t>::max())
-                          .value_or(0);
+  cell_deadline_ms_ =
+      EnvNumber("NUMALP_CELL_DEADLINE_MS", std::int64_t{0}, kMaxCellDeadlineMs).value_or(0);
   max_cell_retries_ = EnvNumber("NUMALP_CELL_RETRIES", 0, kMaxCellRetries).value_or(1);
 }
 

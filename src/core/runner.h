@@ -32,10 +32,13 @@ struct RunSpec {
 // order — which is what makes parallel grids deterministic.
 std::uint64_t CellSeed(std::uint64_t base_seed, int seed_index);
 
-// Upper bounds of the worker count (--jobs, NUMALP_JOBS) and of the retry
-// budget (--cell-retries, NUMALP_CELL_RETRIES).
+// Upper bounds of the worker count (--jobs, NUMALP_JOBS), of the retry
+// budget (--cell-retries, NUMALP_CELL_RETRIES) and of the cell deadline
+// (--cell-deadline-ms, NUMALP_CELL_DEADLINE_MS; about 31 years, and small
+// enough that the watchdog's deadline in nanoseconds cannot overflow).
 constexpr int kMaxJobs = 1024;
 constexpr int kMaxCellRetries = 1000;
+constexpr std::int64_t kMaxCellDeadlineMs = 1'000'000'000'000;
 
 // Observes cell completions during ExperimentRunner::Run. Invoked once per
 // cell in ascending cell-index order — cell i+1 is reported only after cell

@@ -138,7 +138,8 @@ struct RunResult {
   // of ResultRow/JSONL output: profile modes must stay byte-identical on the
   // report surface whenever their decisions are identical, and these fields
   // differ by construction (sketch mode carries a fixed filter+sketch
-  // budget). The profile-sweep bench reads them directly.
+  // budget). The state-reduction gate (tests/sketch_filter_test.cc,
+  // SparseFootprintStateReductionTest) reads them directly.
   std::uint64_t profile_peak_entries = 0;     // exact-aggregate entry high-water
   std::uint64_t profile_state_bytes = 0;      // peak entries + filter/sketch bytes
   std::uint64_t profile_admission_misses = 0; // samples the full filter dropped

@@ -170,7 +170,8 @@ class SampleWindow {
   // High-water tracked-state bytes: peak exact entries at their storage
   // cost, the fold's sorted key index, delta journal and persistent
   // mapping-granularity map, plus the (fixed) filter + sketch budget — the
-  // number the profile-sweep bench records for the state-reduction claim.
+  // number the state-reduction gate compares (tests/sketch_filter_test.cc,
+  // SparseFootprintStateReductionTest).
   std::size_t peak_state_bytes() const;
 
  private:

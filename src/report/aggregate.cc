@@ -368,7 +368,11 @@ bool FieldFromText(AggregateRow& row, const AggregateField& field, const std::st
     return AssignParsed(ParseNumber(text, 1, std::numeric_limits<int>::max()),
                         row.*(field.count));
   }
-  return AssignParsed(ParseToken<double>(text), row.*(field.value));
+  // A summary holds finite means: "nan" or "inf" there is corruption, and a
+  // NaN mean would slip through the checks' comparisons.
+  return AssignParsed(ParseNumber(text, std::numeric_limits<double>::lowest(),
+                                  std::numeric_limits<double>::max()),
+                      row.*(field.value));
 }
 
 void WriteAggregateObject(std::ostream& out, const AggregateRow& aggregate,

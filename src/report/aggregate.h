@@ -82,9 +82,10 @@ void WriteSummaryJson(std::ostream& out, const std::vector<AggregateRow>& aggreg
 
 // Parses a summary document WriteSummaryJson produced back into aggregate
 // groups (unknown keys are ignored so the schema can grow). Values are read
-// as strictly as ParseJsonlLine reads rows, `runs` must be positive, and
-// the document must keep WriteSummaryJson's line framing; anything else
-// returns false with *error naming the line (and the key, for a bad value).
+// as strictly as ParseJsonlLine reads rows, and every number must also be
+// finite; `runs` must be positive, and the document must keep
+// WriteSummaryJson's line framing. Anything else returns false with *error
+// naming the line (and the key, for a bad value).
 // Lets `numalp_report --from-summary` assert the paper checks against a
 // committed BENCH_*.json without re-running the grids.
 bool ParseSummaryJson(const std::string& contents, std::vector<AggregateRow>* out,

@@ -1,5 +1,6 @@
 #include "src/report/checks.h"
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -21,6 +22,10 @@ struct ColumnMean {
   double improvement() const { return improvement_sum / rows; }
   double lar() const { return lar_sum / rows; }
   double alloc_failures() const { return alloc_failure_sum; }
+  bool finite() const {
+    return std::isfinite(improvement_sum) && std::isfinite(lar_sum) &&
+           std::isfinite(alloc_failure_sum);
+  }
 };
 
 using ColumnMap = std::map<std::string, ColumnMean>;
@@ -133,37 +138,63 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
                                          int baseline_rows, int nonzero_baselines) {
   std::vector<CheckResult> results;
 
+  // A check that read a column with a non-finite mean FAILs, whatever its
+  // comparison says: NaN compares false, so a check written as "fail when
+  // LP < C2M - 6" would otherwise PASS a NaN column. `nonfinite` names the
+  // columns the current check has read that way.
+  std::string nonfinite;
+  const auto find = [&nonfinite](const ColumnMap& map, const std::string& machine,
+                                 const std::string& workload, const std::string& policy) {
+    const std::optional<ColumnMean> column = Find(map, machine, workload, policy);
+    if (column && !column->finite()) {
+      nonfinite += (nonfinite.empty() ? "" : ", ") + machine + "/" + workload + "/" + policy;
+    }
+    return column;
+  };
+  const auto verdict = [&nonfinite](const char* name, bool passed, const std::string& detail) {
+    if (nonfinite.empty()) {
+      return Verdict(name, passed, detail);
+    }
+    const CheckResult result = Verdict(name, false, "non-finite mean in " + nonfinite);
+    nonfinite.clear();
+    return result;
+  };
+  const auto skip = [&nonfinite](const char* name, const std::string& detail) {
+    nonfinite.clear();
+    return Skip(name, detail);
+  };
+
   // Schema sanity: a Linux-4K run is its own baseline by construction, so
   // its improvement must be exactly zero in every row.
   if (baseline_rows == 0) {
-    results.push_back(Skip("baseline-improvement-zero", "no Linux-4K rows"));
+    results.push_back(skip("baseline-improvement-zero", "no Linux-4K rows"));
   } else {
-    results.push_back(Verdict(
+    results.push_back(verdict(
         "baseline-improvement-zero", nonzero_baselines == 0,
         Fmt("%.0f of %.0f Linux-4K rows nonzero", nonzero_baselines, baseline_rows)));
   }
 
   // Figure 1 / Table 1: THP hurts the hot-page workload CG.D on machine B
   // (paper: -43%).
-  if (const auto thp = Find(columns, kMachineB, "CG.D", kThpName)) {
-    results.push_back(Verdict("thp-hurts-hot-page-cg-on-machineB", thp->improvement() < 0.0,
+  if (const auto thp = find(columns, kMachineB, "CG.D", kThpName)) {
+    results.push_back(verdict("thp-hurts-hot-page-cg-on-machineB", thp->improvement() < 0.0,
                               Fmt("THP improvement %.1f%% (expected < 0)",
                                   thp->improvement(), 0.0)));
   } else {
     results.push_back(
-        Skip("thp-hurts-hot-page-cg-on-machineB", "no (machineB, CG.D, THP) rows"));
+        skip("thp-hurts-hot-page-cg-on-machineB", "no (machineB, CG.D, THP) rows"));
   }
 
   // Figure 1: THP helps the allocation-intensive WC on machine B (paper:
   // +109%).
-  if (const auto thp = Find(columns, kMachineB, "WC", kThpName)) {
-    results.push_back(Verdict("thp-helps-allocation-wc-on-machineB",
+  if (const auto thp = find(columns, kMachineB, "WC", kThpName)) {
+    results.push_back(verdict("thp-helps-allocation-wc-on-machineB",
                               thp->improvement() > 0.0,
                               Fmt("THP improvement %.1f%% (expected > 0)",
                                   thp->improvement(), 0.0)));
   } else {
     results.push_back(
-        Skip("thp-helps-allocation-wc-on-machineB", "no (machineB, WC, THP) rows"));
+        skip("thp-helps-allocation-wc-on-machineB", "no (machineB, WC, THP) rows"));
   }
 
   // Figures 1-3: wrmem (Metis allocation storm) gains under THP on every
@@ -173,7 +204,7 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
     bool all_pass = true;
     std::string detail;
     for (const char* machine : {kMachineA, kMachineB}) {
-      const auto thp = Find(columns, machine, "wrmem", kThpName);
+      const auto thp = find(columns, machine, "wrmem", kThpName);
       if (!thp) {
         continue;
       }
@@ -185,23 +216,23 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
       detail += machine + Fmt(": %.1f%%", thp->improvement(), 0.0);
     }
     if (any) {
-      results.push_back(Verdict("thp-helps-allocation-wrmem", all_pass, detail));
+      results.push_back(verdict("thp-helps-allocation-wrmem", all_pass, detail));
     } else {
-      results.push_back(Skip("thp-helps-allocation-wrmem", "no (wrmem, THP) rows"));
+      results.push_back(skip("thp-helps-allocation-wrmem", "no (wrmem, THP) rows"));
     }
   }
 
   // Figure 3: Carrefour-LP restores what THP lost on CG.D (machine B) by
   // splitting the hot pages.
   {
-    const auto lp = Find(columns, kMachineB, "CG.D", kCarrefourLp);
-    const auto thp = Find(columns, kMachineB, "CG.D", kThpName);
+    const auto lp = find(columns, kMachineB, "CG.D", kCarrefourLp);
+    const auto thp = find(columns, kMachineB, "CG.D", kThpName);
     if (lp && thp) {
-      results.push_back(Verdict(
+      results.push_back(verdict(
           "carrefour-lp-recovers-cg-on-machineB", lp->improvement() > thp->improvement(),
           Fmt("Carrefour-LP %.1f%% vs THP %.1f%%", lp->improvement(), thp->improvement())));
     } else {
-      results.push_back(Skip("carrefour-lp-recovers-cg-on-machineB",
+      results.push_back(skip("carrefour-lp-recovers-cg-on-machineB",
                              "need (machineB, CG.D) under both Carrefour-LP and THP"));
     }
   }
@@ -211,16 +242,16 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
   // THP's loss while Carrefour-LP recovers by splitting — LP must be at
   // least C2M there, with no tolerance.
   {
-    const auto lp = Find(columns, kMachineB, "CG.D", kCarrefourLp);
-    const auto c2m = Find(columns, kMachineB, "CG.D", kCarrefour2M);
+    const auto lp = find(columns, kMachineB, "CG.D", kCarrefourLp);
+    const auto c2m = find(columns, kMachineB, "CG.D", kCarrefour2M);
     if (lp && c2m) {
-      results.push_back(Verdict("carrefour-lp-geq-carrefour-on-hot-page-cg",
+      results.push_back(verdict("carrefour-lp-geq-carrefour-on-hot-page-cg",
                                 lp->improvement() >= c2m->improvement(),
                                 Fmt("Carrefour-LP %.1f%% vs Carrefour-2M %.1f%%",
                                     lp->improvement(), c2m->improvement())));
     } else {
       results.push_back(
-          Skip("carrefour-lp-geq-carrefour-on-hot-page-cg",
+          skip("carrefour-lp-geq-carrefour-on-hot-page-cg",
                "need (machineB, CG.D) under both Carrefour-LP and Carrefour-2M"));
     }
   }
@@ -246,8 +277,8 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
     std::string detail;
     for (const char* machine : {kMachineA, kMachineB}) {
       for (const char* workload : kAffected) {
-        const auto lp = Find(columns, machine, workload, kCarrefourLp);
-        const auto c2m = Find(columns, machine, workload, kCarrefour2M);
+        const auto lp = find(columns, machine, workload, kCarrefourLp);
+        const auto c2m = find(columns, machine, workload, kCarrefour2M);
         if (!lp || !c2m) {
           continue;
         }
@@ -270,11 +301,11 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
       }
     }
     if (!any) {
-      results.push_back(Skip("carrefour-lp-geq-carrefour",
+      results.push_back(skip("carrefour-lp-geq-carrefour",
                              "need Carrefour-LP and Carrefour-2M columns on the "
                              "affected set (run fig2 + fig3)"));
     } else {
-      results.push_back(Verdict(
+      results.push_back(verdict(
           "carrefour-lp-geq-carrefour", all_pass,
           all_pass ? "Carrefour-LP within tolerance of Carrefour-2M on every "
                      "measured affected column"
@@ -285,15 +316,15 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
   // Figure 2: Carrefour-2M rescues SSCA on machine A — migration and
   // interleaving suffice there (paper: THP -17% -> Carrefour-2M +17-ish).
   {
-    const auto c2m = Find(columns, kMachineA, "SSCA.20", kCarrefour2M);
-    const auto thp = Find(columns, kMachineA, "SSCA.20", kThpName);
+    const auto c2m = find(columns, kMachineA, "SSCA.20", kCarrefour2M);
+    const auto thp = find(columns, kMachineA, "SSCA.20", kThpName);
     if (c2m && thp) {
-      results.push_back(Verdict("carrefour-2m-rescues-ssca-on-machineA",
+      results.push_back(verdict("carrefour-2m-rescues-ssca-on-machineA",
                                 c2m->improvement() > thp->improvement(),
                                 Fmt("Carrefour-2M %.1f%% vs THP %.1f%%", c2m->improvement(),
                                     thp->improvement())));
     } else {
-      results.push_back(Skip("carrefour-2m-rescues-ssca-on-machineA",
+      results.push_back(skip("carrefour-2m-rescues-ssca-on-machineA",
                              "need (machineA, SSCA.20) under both Carrefour-2M and THP"));
     }
   }
@@ -308,21 +339,21 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
   {
     constexpr double kGracefulLossPct = 35.0;
     const std::string lp = kCarrefourLp, c2m = kCarrefour2M;
-    const auto lp_off = Find(fault_columns, kMachineA, "SSCA.20", lp + "|" + kFaultsOff);
-    const auto lp_frag = Find(fault_columns, kMachineA, "SSCA.20", lp + "|" + kFaultsFrag);
-    const auto c2m_off = Find(fault_columns, kMachineA, "SSCA.20", c2m + "|" + kFaultsOff);
-    const auto c2m_frag = Find(fault_columns, kMachineA, "SSCA.20", c2m + "|" + kFaultsFrag);
+    const auto lp_off = find(fault_columns, kMachineA, "SSCA.20", lp + "|" + kFaultsOff);
+    const auto lp_frag = find(fault_columns, kMachineA, "SSCA.20", lp + "|" + kFaultsFrag);
+    const auto c2m_off = find(fault_columns, kMachineA, "SSCA.20", c2m + "|" + kFaultsOff);
+    const auto c2m_frag = find(fault_columns, kMachineA, "SSCA.20", c2m + "|" + kFaultsFrag);
     if (lp_off && lp_frag && c2m_off && c2m_frag) {
       const double lp_loss = lp_off->improvement() - lp_frag->improvement();
       const double c2m_loss = c2m_off->improvement() - c2m_frag->improvement();
       results.push_back(
-          Verdict("carrefour-lp-graceful-under-frag",
+          verdict("carrefour-lp-graceful-under-frag",
                   lp_loss <= kGracefulLossPct && c2m_loss > lp_loss,
                   Fmt("frag costs Carrefour-LP %.1f points vs Carrefour-2M %.1f "
                       "(LP bound: 35.0)",
                       lp_loss, c2m_loss)));
     } else {
-      results.push_back(Skip("carrefour-lp-graceful-under-frag",
+      results.push_back(skip("carrefour-lp-graceful-under-frag",
                              "need (machineA, SSCA.20) under Carrefour-LP and "
                              "Carrefour-2M at faults=off and faults=frag "
                              "(run fault_grace)"));
@@ -341,8 +372,8 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
   {
     constexpr double kChurnGapFloorPct = 10.0;
     constexpr const char* kChurnTrace = "trace:ckpt-churn";
-    const auto lp = Find(columns, kMachineA, kChurnTrace, kCarrefourLp);
-    const auto thp = Find(columns, kMachineA, kChurnTrace, kThpName);
+    const auto lp = find(columns, kMachineA, kChurnTrace, kCarrefourLp);
+    const auto thp = find(columns, kMachineA, kChurnTrace, kThpName);
     if (lp && thp) {
       const bool organic_failures = thp->alloc_failures() > 0.0;
       std::string detail =
@@ -350,12 +381,12 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
               lp->improvement(), thp->improvement());
       detail += Fmt("; %.0f organic alloc failures under always-2M (need > 0)",
                     thp->alloc_failures(), 0.0);
-      results.push_back(Verdict(
+      results.push_back(verdict(
           "thp-degrades-under-mmap-churn",
           lp->improvement() >= thp->improvement() + kChurnGapFloorPct && organic_failures,
           detail));
     } else {
-      results.push_back(Skip("thp-degrades-under-mmap-churn",
+      results.push_back(skip("thp-degrades-under-mmap-churn",
                              "need (machineA, trace:ckpt-churn) under both "
                              "Carrefour-LP and THP (run trace_replay)"));
     }
@@ -372,32 +403,32 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
   // qualitative conclusion, not the exact gap.
   {
     constexpr double kHotPageGapFloorPct = 10.0;
-    const auto lp = Find(columns, kSnc16, "CG.D", kCarrefourLp);
-    const auto c2m = Find(columns, kSnc16, "CG.D", kCarrefour2M);
+    const auto lp = find(columns, kSnc16, "CG.D", kCarrefourLp);
+    const auto c2m = find(columns, kSnc16, "CG.D", kCarrefour2M);
     if (lp && c2m) {
       results.push_back(
-          Verdict("split-then-place-holds-at-16-nodes",
+          verdict("split-then-place-holds-at-16-nodes",
                   lp->improvement() >= c2m->improvement() + kHotPageGapFloorPct,
                   Fmt("Carrefour-LP %.1f%% vs Carrefour-2M %.1f%% (floor: +10 points)",
                       lp->improvement(), c2m->improvement())));
     } else {
-      results.push_back(Skip("split-then-place-holds-at-16-nodes",
+      results.push_back(skip("split-then-place-holds-at-16-nodes",
                              "need (snc16, CG.D) under both Carrefour-LP and "
                              "Carrefour-2M (run datacenter)"));
     }
   }
   {
     constexpr double kHotPageGapFloorPct = 10.0;
-    const auto lp = Find(columns, kCxl, "CG.D", kCarrefourLp);
-    const auto c2m = Find(columns, kCxl, "CG.D", kCarrefour2M);
+    const auto lp = find(columns, kCxl, "CG.D", kCarrefourLp);
+    const auto c2m = find(columns, kCxl, "CG.D", kCarrefour2M);
     if (lp && c2m) {
       results.push_back(
-          Verdict("split-then-place-holds-with-cxl-tier",
+          verdict("split-then-place-holds-with-cxl-tier",
                   lp->improvement() >= c2m->improvement() + kHotPageGapFloorPct,
                   Fmt("Carrefour-LP %.1f%% vs Carrefour-2M %.1f%% (floor: +10 points)",
                       lp->improvement(), c2m->improvement())));
     } else {
-      results.push_back(Skip("split-then-place-holds-with-cxl-tier",
+      results.push_back(skip("split-then-place-holds-with-cxl-tier",
                              "need (cxl, CG.D) under both Carrefour-LP and "
                              "Carrefour-2M (run datacenter)"));
     }
@@ -414,8 +445,8 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
     std::string detail;
     for (const char* machine : {kEpyc8, kSnc16, kCxl}) {
       for (const char* workload : {"CG.D", "UA.B", "SSCA.20"}) {
-        const auto lp = Find(columns, machine, workload, kCarrefourLp);
-        const auto c2m = Find(columns, machine, workload, kCarrefour2M);
+        const auto lp = find(columns, machine, workload, kCarrefourLp);
+        const auto c2m = find(columns, machine, workload, kCarrefour2M);
         if (!lp || !c2m) {
           continue;
         }
@@ -431,11 +462,11 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
       }
     }
     if (!any) {
-      results.push_back(Skip("carrefour-lp-geq-carrefour-at-datacenter",
+      results.push_back(skip("carrefour-lp-geq-carrefour-at-datacenter",
                              "need Carrefour-LP and Carrefour-2M columns on a "
                              "datacenter machine (run datacenter)"));
     } else {
-      results.push_back(Verdict("carrefour-lp-geq-carrefour-at-datacenter", all_pass,
+      results.push_back(verdict("carrefour-lp-geq-carrefour-at-datacenter", all_pass,
                                 all_pass ? "Carrefour-LP within tolerance of "
                                            "Carrefour-2M on every measured "
                                            "datacenter column"
@@ -446,14 +477,14 @@ std::vector<CheckResult> EvaluateColumns(const ColumnMap& columns,
   // Table 2 / Table 3: THP creates page-level false sharing on UA.B
   // (machine A), dragging the local access ratio below the 4KB run's.
   {
-    const auto thp = Find(columns, kMachineA, "UA.B", kThpName);
-    const auto linux = Find(columns, kMachineA, "UA.B", kLinux);
+    const auto thp = find(columns, kMachineA, "UA.B", kThpName);
+    const auto linux = find(columns, kMachineA, "UA.B", kLinux);
     if (thp && linux) {
-      results.push_back(Verdict("thp-degrades-ua-lar-on-machineA", thp->lar() < linux->lar(),
+      results.push_back(verdict("thp-degrades-ua-lar-on-machineA", thp->lar() < linux->lar(),
                                 Fmt("LAR %.1f%% under THP vs %.1f%% under Linux-4K",
                                     thp->lar(), linux->lar())));
     } else {
-      results.push_back(Skip("thp-degrades-ua-lar-on-machineA",
+      results.push_back(skip("thp-degrades-ua-lar-on-machineA",
                              "need (machineA, UA.B) under both THP and Linux-4K"));
     }
   }

@@ -160,7 +160,7 @@ Options ParseToolArgs(int argc, char** argv, const ToolInfo& info,
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--cell-deadline-ms") {
-      options.cell_deadline_ms = number(0LL, std::numeric_limits<long long>::max());
+      options.cell_deadline_ms = number(std::int64_t{0}, kMaxCellDeadlineMs);
     } else if (arg == "--cell-retries") {
       options.cell_retries = number(0, kMaxCellRetries);
     } else {

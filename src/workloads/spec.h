@@ -126,7 +126,8 @@ enum class BenchmarkId {
   // carries every actionable placement decision. Cold pages are strictly
   // local and below every Carrefour threshold, so a sketch profile that
   // drops them makes the same decisions exact mode makes while tracking an
-  // order of magnitude less state (the perf_hotpath --profile-sweep claim).
+  // order of magnitude less state (asserted by tests/sketch_filter_test.cc,
+  // SparseFootprintStateReductionTest).
   kSparseFootprint,
 };
 

@@ -8,7 +8,8 @@ set(bad_args
     "--epochs -3"
     "--seed 1x"
     "--accesses 0"
-    "--fault-alloc-pct 250")
+    "--fault-alloc-pct 250"
+    "--cell-deadline-ms 9223372036854775807")
 foreach(shown IN LISTS bad_args)
   separate_arguments(args UNIX_COMMAND "${shown}")
   execute_process(COMMAND ${NUMALP_RUN} --workload CG.D --machine A ${args}
@@ -30,7 +31,8 @@ set(bad_env
     "NUMALP_FAULT_PROFILE=bogus"
     "NUMALP_JOBS=abc"
     "NUMALP_CELL_RETRIES=-2"
-    "NUMALP_CELL_DEADLINE_MS=5x")
+    "NUMALP_CELL_DEADLINE_MS=5x"
+    "NUMALP_CELL_DEADLINE_MS=9223372036854775807")
 foreach(shown IN LISTS bad_env)
   execute_process(COMMAND ${CMAKE_COMMAND} -E env ${shown}
                           ${NUMALP_RUN} --workload CG.D --machine A --epochs 2 --accesses 64

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <sstream>
 
@@ -24,6 +25,7 @@
 #include "src/report/sink.h"
 #include "src/topo/topology.h"
 #include "src/workloads/spec.h"
+#include "tests/mutation.h"
 
 namespace numalp::report {
 namespace {
@@ -582,25 +584,6 @@ TEST(SummaryJsonTest, RejectsMalformedValuesNamingLineAndKey) {
 // truncations and splices, a fixed budget of each. The readers take
 // untrusted files, so no mutant may crash them, and whatever they accept
 // must be a fixed point: parse -> write -> parse -> write changes nothing.
-std::string Mutate(const std::string& input, int kind, std::mt19937_64& rng) {
-  std::string text = input;
-  const auto at = [&rng](std::size_t size) {
-    return std::uniform_int_distribution<std::size_t>(0, size)(rng);
-  };
-  if (kind == 0) {  // flip one to three bits
-    for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0 && !text.empty(); --flips) {
-      text[at(text.size() - 1)] ^= static_cast<char>(1 << (rng() % 8));
-    }
-  } else if (kind == 1) {  // truncate
-    text.resize(at(text.size()));
-  } else {  // splice a copied span in at another position
-    const std::size_t from = at(text.size());
-    const std::string span = text.substr(from, at(std::min<std::size_t>(64, text.size() - from)));
-    text.insert(at(text.size()), span);
-  }
-  return text;
-}
-
 TEST(ParserMutationTest, MutantsAreRejectedOrRoundTrip) {
   constexpr int kMutantsPerKind = 300;
   std::ifstream in(std::string(NUMALP_SOURCE_DIR) + "/BENCH_trace.json");
@@ -615,7 +598,7 @@ TEST(ParserMutationTest, MutantsAreRejectedOrRoundTrip) {
   int accepted = 0;
   for (int kind = 0; kind < 3; ++kind) {
     for (int i = 0; i < kMutantsPerKind; ++i) {
-      const std::string mutant = Mutate(summary, kind, rng);
+      const std::string mutant = mutation::Mutate(summary, kind, rng);
       std::vector<AggregateRow> parsed;
       std::string error;
       if (!ParseSummaryJson(mutant, &parsed, &error)) {
@@ -628,7 +611,7 @@ TEST(ParserMutationTest, MutantsAreRejectedOrRoundTrip) {
       ASSERT_EQ(SummaryText(parsed), first) << "kind " << kind << " mutant " << i;
     }
     for (int i = 0; i < kMutantsPerKind; ++i) {
-      const std::string mutant = Mutate(row_line, kind, rng);
+      const std::string mutant = mutation::Mutate(row_line, kind, rng);
       ResultRow row;
       std::string error;
       if (!ParseJsonlLine(mutant, &row, &error)) {
@@ -647,6 +630,53 @@ TEST(ParserMutationTest, MutantsAreRejectedOrRoundTrip) {
     }
   }
   EXPECT_GT(accepted, 0);  // some mutants (e.g. digit flips) stay well-formed
+}
+
+// A NaN mean must not PASS a check (NaN compares false, so a check phrased
+// "fail when LP < C2M - 6" would pass it). The committed fig2/fig3 summary
+// with the machineB LU.B Carrefour-LP mean made non-finite is rejected by
+// the reader, and the same NaN handed to the checks directly FAILs the band
+// check that covers the column.
+TEST(ChecksTest, NonFiniteMeanFailsInsteadOfPassing) {
+  std::ifstream in(std::string(NUMALP_SOURCE_DIR) + "/BENCH_fig2_fig3.json");
+  ASSERT_TRUE(in);
+  const std::string summary((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const std::size_t group = summary.find(
+      "\"machine\":\"machineB\",\"workload\":\"LU.B\",\"policy\":\"Carrefour-LP\"");
+  ASSERT_NE(group, std::string::npos);
+  const std::string key = "\"mean_improvement_pct\":";
+  const std::size_t value = summary.find(key, group) + key.size();
+  const std::size_t value_end = summary.find(',', value);
+  const std::string line =
+      "line " + std::to_string(1 + std::count(summary.begin(), summary.begin() + group, '\n'));
+  for (const char* bad : {"nan", "-nan", "inf", "-inf"}) {
+    std::string text = summary;
+    text.replace(value, value_end - value, bad);
+    std::vector<AggregateRow> parsed;
+    std::string error;
+    EXPECT_FALSE(ParseSummaryJson(text, &parsed, &error)) << bad;
+    EXPECT_EQ(error, line + ": bad value for \"mean_improvement_pct\"") << bad;
+  }
+
+  std::vector<AggregateRow> aggregates;
+  std::string error;
+  ASSERT_TRUE(ParseSummaryJson(summary, &aggregates, &error)) << error;
+  ASSERT_TRUE(AllPassed(EvaluatePaperChecks(aggregates)));
+  for (AggregateRow& aggregate : aggregates) {
+    if (aggregate.machine == "machineB" && aggregate.workload == "LU.B" &&
+        aggregate.policy == "Carrefour-LP") {
+      aggregate.mean_improvement_pct = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  const std::vector<CheckResult> results = EvaluatePaperChecks(aggregates);
+  EXPECT_FALSE(AllPassed(results));
+  const auto band = std::find_if(results.begin(), results.end(), [](const CheckResult& r) {
+    return r.name == "carrefour-lp-geq-carrefour";
+  });
+  ASSERT_NE(band, results.end());
+  EXPECT_EQ(band->status, CheckStatus::kFail);
+  EXPECT_EQ(band->detail, "non-finite mean in machineB/LU.B/Carrefour-LP");
 }
 
 TEST(ChecksTest, FailWhenDataContradictsPaper) {

@@ -9,6 +9,8 @@
 // admission misses, healed aggregates, no crash) while bounding state on a
 // sparse footprint; batched admission equals admitting one page at a time,
 // and the journaled fold equals a full fold, on the clamping paths too.
+// End to end, sketch mode keeps at least 10x less profiling state than
+// exact mode on sparse-footprint (machine B) with identical decisions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -656,7 +658,8 @@ TEST_F(SketchWindowTest, JournaledFoldAndBatchedAdmissionMatchEagerUnderThrash) 
 // realized admission-miss rate through the RunResult counter, and still
 // reach the same placement decisions — every unadmittable page is strictly
 // local and below Carrefour's per-page floor, so dropping it is invisible
-// (the argument DESIGN.md Section 11 makes for the profile-sweep bench).
+// (the argument DESIGN.md Section 11 makes for the state-reduction gate,
+// SparseFootprintStateReductionTest below).
 TEST(SparseFootprintDivergenceTest, UndersizedFilterDegradesGracefully) {
   const Topology topo = Topology::Tiny(256 * kMiB);
   WorkloadSpec spec = MakeWorkloadSpec(BenchmarkId::kSparseFootprint, topo);
@@ -686,6 +689,60 @@ TEST(SparseFootprintDivergenceTest, UndersizedFilterDegradesGracefully) {
   EXPECT_EQ(sketch_result.total_promotions, exact_result.total_promotions);
   EXPECT_EQ(sketch_result.measured_cycles, exact_result.measured_cycles);
   EXPECT_LT(sketch_result.profile_peak_entries, exact_result.profile_peak_entries);
+}
+
+// The state-reduction gate (DESIGN.md Section 11) at the settings the
+// claim is stated for: machine B, 40 epochs x 2048 accesses, IBS interval
+// 32 on both sides (state scales with distinct sampled pages, so the
+// comparison must be like against like). Sketch mode gets a fixed small
+// budget: a 32Ki-slot filter (64KB) and a 4x32Ki count-sketch (512KB),
+// sized so the sketch's per-row aliasing load stays below one count per
+// cell for the sparse cell's ~35K unadmitted samples (a saturated sketch
+// over-admits everything and the bound evaporates), against exact mode's
+// one entry per sampled 4KB page of a threads x 32MiB footprint.
+// Threshold 4 keeps once-or-twice-sampled cold pages out of the exact
+// aggregate; every such page is strictly local and below Carrefour's
+// per-page floor, so decisions cannot move. CG.D under Carrefour-LP runs
+// at the default threshold, where sketch mode is bit-identical.
+TEST(SparseFootprintStateReductionTest, SketchKeepsTenfoldLessStateWithSameDecisions) {
+  const Topology topo = Topology::MachineB();
+  SimConfig exact;
+  exact.max_epochs = 40;
+  exact.accesses_per_thread_per_epoch = 2048;
+  exact.ibs_interval = 32;
+  SimConfig sketch_default = exact;
+  sketch_default.profile_mode = ProfileMode::kSketch;
+  SimConfig sketch = sketch_default;
+  sketch.profile_sketch.admit_threshold = 4;
+  sketch.profile_sketch.filter_capacity = 32768;
+  sketch.profile_sketch.sketch_width = 32768;
+
+  const auto expect_same_decisions = [](const RunResult& want, const RunResult& got) {
+    EXPECT_EQ(got.total_migrations, want.total_migrations);
+    EXPECT_EQ(got.total_splits, want.total_splits);
+    EXPECT_EQ(got.total_promotions, want.total_promotions);
+    EXPECT_EQ(got.measured_cycles, want.measured_cycles);
+  };
+  {
+    SCOPED_TRACE("sparse-footprint/Carrefour-2M");
+    const RunResult exact_run = RunBenchmark(topo, BenchmarkId::kSparseFootprint,
+                                             PolicyKind::kCarrefour2M, exact);
+    const RunResult sketch_run = RunBenchmark(topo, BenchmarkId::kSparseFootprint,
+                                              PolicyKind::kCarrefour2M, sketch);
+    expect_same_decisions(exact_run, sketch_run);
+    ASSERT_GT(sketch_run.profile_state_bytes, 0u);
+    EXPECT_GE(static_cast<double>(exact_run.profile_state_bytes) /
+                  static_cast<double>(sketch_run.profile_state_bytes),
+              10.0)
+        << "exact " << exact_run.profile_state_bytes << " bytes, sketch "
+        << sketch_run.profile_state_bytes << " bytes";
+  }
+  {
+    SCOPED_TRACE("CG.D/Carrefour-LP");
+    expect_same_decisions(
+        RunBenchmark(topo, BenchmarkId::kCG_D, PolicyKind::kCarrefourLp, exact),
+        RunBenchmark(topo, BenchmarkId::kCG_D, PolicyKind::kCarrefourLp, sketch_default));
+  }
 }
 
 }  // namespace

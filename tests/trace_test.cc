@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "src/workloads/spec.h"
 #include "src/workloads/trace_workload.h"
 #include "tests/golden_pin.h"
+#include "tests/mutation.h"
 
 namespace numalp {
 namespace {
@@ -265,6 +268,73 @@ TEST(TraceFormatTest, RejectedOpensDoNotLeakFileDescriptors) {
   EXPECT_EQ(OpenFileDescriptors(), before);
   std::filesystem::remove(bad_magic);
   std::filesystem::remove(truncated);
+}
+
+// Seeded corruption of a small ckpt-churn trace: bit flips, truncations and
+// splices, a fixed budget of each. A trace file is untrusted input, so
+// every mutant must either fail to open with an error (numalp_run's exit 2)
+// or replay through the grid runner to completion or to a "failed:" row
+// (exit 1). None may crash the process or, in the sanitizer builds, trip
+// ASan or UBSan.
+TEST(TraceMutationTest, MutantsFailToOpenOrReplayToARow) {
+  constexpr int kMutantsPerKind = 100;
+  const Topology topo = Topology::Tiny();
+  const std::string source = TempPath("trace_mutation_source.bin");
+  const std::string path = TempPath("trace_mutant.bin");
+  trace::TracegenOptions gen;
+  gen.topo = topo;
+  gen.seed = 42;
+  gen.accesses_per_thread = 128;
+  gen.epochs = 8;
+  gen.profile = "ckpt-churn";
+  trace::GenerateTrace(gen, source);
+  const std::vector<std::uint8_t> original = ReadAll(source);
+
+  ExperimentRunner runner(1);
+  runner.set_max_cell_retries(0);
+  // Opens `path` as numalp_run does (the header sets the batch geometry)
+  // and replays it; nullopt when it fails to open.
+  const auto replay = [&](const std::string& file) -> std::optional<RunResult> {
+    RunSpec cell;
+    cell.topo = topo;
+    cell.policy = MakePolicyConfig(PolicyKind::kThp);
+    cell.sim.max_epochs = 64;
+    try {
+      cell.sim.accesses_per_thread_per_epoch =
+          trace::ReadTraceHeader(file).accesses_per_thread_per_epoch;
+      cell.workload = MakeTraceWorkloadSpec(file);
+    } catch (const std::runtime_error& error) {
+      EXPECT_STRNE(error.what(), "");
+      return std::nullopt;
+    }
+    return runner.Run({cell})[0];
+  };
+  const std::optional<RunResult> control = replay(source);
+  ASSERT_TRUE(control.has_value());
+  ASSERT_EQ(control->status, "ok");
+  ASSERT_TRUE(control->completed);
+
+  std::mt19937_64 rng(20140415);
+  int rejected = 0;
+  int failed = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutantsPerKind; ++i) {
+      SCOPED_TRACE("kind " + std::to_string(kind) + " mutant " + std::to_string(i));
+      WriteAll(path, mutation::Mutate(original, kind, rng));
+      const std::optional<RunResult> result = replay(path);
+      if (!result) {
+        ++rejected;
+      } else if (result->status != "ok") {
+        EXPECT_EQ(result->status.rfind("failed: ", 0), 0u) << result->status;
+        ++failed;
+      }
+    }
+  }
+  // The budget reaches both error paths.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(failed, 0);
+  std::filesystem::remove(source);
+  std::filesystem::remove(path);
 }
 
 // Serializes a run through the real row schema so "byte-identical" means the
